@@ -6,7 +6,7 @@ the *disabled* path -- the default, what every plain ``repro design``
 run takes -- costs one module-global read and one attribute check per
 call: under 3% next to the CTMC solve itself.  This harness times the
 raw markov kernel against the instrumented engine facade with no
-observer installed, paired and alternated like the resilience
+observer installed, paired and alternated like the parallel
 benchmark, and also records the enabled-mode cost for reference.
 """
 
@@ -18,8 +18,7 @@ from repro.availability import MarkovEngine
 from repro.availability import markov
 from repro.obs import Observer, observing
 
-from .bench_resilience import benchmark_models
-from .conftest import write_bench_json, write_report
+from .conftest import benchmark_models, write_bench_json, write_report
 
 MAX_DISABLED_OVERHEAD = 0.03
 # Smoke timings are too short for a 3% assertion to be stable.

@@ -4,8 +4,7 @@ With ``--jobs 1`` the supervised executor sits between the search and
 the engine on every availability solve (quarantine lookup, timeout
 clock reads, result validation) -- no pool, no pickling.  That
 per-solve bookkeeping must be invisible next to the CTMC solve itself:
-under 5% versus the pre-existing direct call, measured the same way
-the resilience benchmark measures the FallbackEngine wrapper.
+under 5% versus the pre-existing direct call.
 """
 
 import time
@@ -15,8 +14,23 @@ import pytest
 from repro.availability import MarkovEngine
 from repro.parallel import ParallelPolicy, SupervisedExecutor
 
-from .bench_resilience import benchmark_models, budgets
-from .conftest import write_bench_json, write_report
+from .conftest import benchmark_models, write_bench_json, write_report
+
+MAX_OVERHEAD = 0.05
+# Smoke runs keep the harness honest but their timings are too noisy
+# for the 5% budget; the gate widens accordingly.
+SMOKE_MAX_OVERHEAD = 0.50
+LOOPS = 60
+REPS = 9
+SMOKE_LOOPS = 6
+SMOKE_REPS = 3
+
+
+def budgets(smoke):
+    """(loops, reps, max_overhead) for the requested mode."""
+    if smoke:
+        return SMOKE_LOOPS, SMOKE_REPS, SMOKE_MAX_OVERHEAD
+    return LOOPS, REPS, MAX_OVERHEAD
 
 
 def time_direct(engine, models, loops):

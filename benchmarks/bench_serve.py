@@ -33,7 +33,7 @@ SMOKE_SHED_PROBES = 200
 def make_service(tmp_path, name, **overrides):
     defaults = dict(
         data_dir=str(tmp_path / name), workers=1, queue_limit=4096,
-        wait_budget=1e9, engine="markov", fsync=False,
+        wait_budget=1e9, fsync=False,
         allow_test_faults=True, drain_grace=30.0)
     defaults.update(overrides)
     return DesignService(ServeConfig(**defaults))

@@ -23,10 +23,12 @@ from typing import Any, Dict, Optional
 
 import pytest
 
+from repro.availability import FailureModeEntry, TierAvailabilityModel
 from repro.model import ServiceModel
 from repro.obs import bench_record, write_bench_record
 from repro.spec.paper import (ecommerce_service, paper_infrastructure,
                               scientific_service)
+from repro.units import Duration
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -62,6 +64,27 @@ def write_report(name: str, text: str) -> str:
     print("--- %s ---" % name)
     print(text)
     return path
+
+
+def benchmark_models():
+    """Tier structures spanning the paper's search space shapes (the
+    per-solve overhead benchmarks time engines over these)."""
+    def modes(mtbf_days, mttr_hours, failover_minutes):
+        return (FailureModeEntry("hard", Duration.days(mtbf_days),
+                                 Duration.hours(mttr_hours),
+                                 Duration.minutes(failover_minutes)),
+                FailureModeEntry("soft", Duration.days(mtbf_days / 10),
+                                 Duration.ZERO,
+                                 Duration.minutes(failover_minutes),
+                                 spare_susceptible=False))
+    return [
+        TierAvailabilityModel("small", n=2, m=2, s=0,
+                              modes=modes(200, 24, 5)),
+        TierAvailabilityModel("mid", n=6, m=4, s=2,
+                              modes=modes(100, 12, 8)),
+        TierAvailabilityModel("large", n=12, m=10, s=3,
+                              modes=modes(400, 48, 10)),
+    ]
 
 
 def write_bench_json(name: str, results: Dict[str, Any],

@@ -8,8 +8,9 @@ paper's Eq. 1 for finite applications.
 """
 
 from .ctmc import ContinuousTimeMarkovChain
-from .engine import (AnalyticEngine, AvailabilityEngine, MarkovEngine,
-                     SimulationEngine, get_engine, register_engine)
+from .engine import (ENGINE_NAMES, AnalyticEngine, AvailabilityEngine,
+                     MarkovEngine, SimulationEngine, build_engine,
+                     get_engine)
 from .fit import (MtbfEstimate, MttrEstimate, estimate_mtbf,
                   estimate_mttr, estimates_from_simulation, refine_modes)
 from .jobtime import (JobTimeEstimate, estimate_job_time,
@@ -31,7 +32,7 @@ __all__ = [
     "TierResult", "ModeResult", "AvailabilityResult", "EngineProvenance",
     "ContinuousTimeMarkovChain",
     "AvailabilityEngine", "MarkovEngine", "AnalyticEngine",
-    "SimulationEngine", "get_engine", "register_engine",
+    "SimulationEngine", "ENGINE_NAMES", "build_engine", "get_engine",
     "series_availability", "series_unavailability",
     "parallel_availability", "k_of_n_availability", "k_of_n_identical",
     "failure_probability", "mean_time_per_loss_window", "useful_fraction",

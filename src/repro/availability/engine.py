@@ -12,12 +12,14 @@ that interface and three interchangeable implementations:
   fewest assumptions (used for validation).
 
 ``get_engine("markov" | "analytic" | "simulation")`` selects one by
-name, which the benchmarks use for engine-ablation runs.
+name, which the benchmarks use for engine-ablation runs;
+:func:`build_engine` is the one constructor every CLI command and
+``repro serve`` use for their ``--engine`` option.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 from ..errors import EvaluationError
 from ..obs import current as _obs_current
@@ -120,8 +122,17 @@ def get_engine(name: str, **kwargs) -> AvailabilityEngine:
     return engine_cls(**kwargs)
 
 
-def register_engine(engine_cls: Type[AvailabilityEngine]) -> None:
-    """Register a custom engine class under its ``name`` attribute."""
-    if not issubclass(engine_cls, AvailabilityEngine):
-        raise EvaluationError("engine must subclass AvailabilityEngine")
-    _ENGINES[engine_cls.name] = engine_cls
+#: The engine names every ``--engine`` option accepts (``markov`` is
+#: the default everywhere).
+ENGINE_NAMES: Tuple[str, ...] = tuple(_ENGINES)
+
+
+def build_engine(name: str, seed: int = 1) -> AvailabilityEngine:
+    """The engine the CLI and ``repro serve`` run for ``name``.
+
+    The simulation engine gets a seeded 500-year horizon, so its runs
+    are reproducible (and cacheable) and stay bounded in time.
+    """
+    if name == SimulationEngine.name:
+        return SimulationEngine(years=500, seed=seed)
+    return get_engine(name)

@@ -190,13 +190,13 @@ class ModeResult:
 
 @dataclass(frozen=True)
 class EngineProvenance:
-    """Which engine produced a result, and why any fallback happened.
+    """Which engine produced a result, and how it got there.
 
-    Attached to :class:`TierResult` by the resilience runtime
-    (:class:`repro.resilience.FallbackEngine`); plain engines leave it
-    None.  ``fallback_from`` lists the engines that were tried (or
-    skipped by an open circuit breaker) before ``engine`` answered, in
-    order; ``cause`` summarizes why the last of them gave way.
+    The Markov engine attaches one when a dense solve degraded to
+    least squares (``cause`` carries the solver's notes); otherwise
+    results leave it None.  ``fallback_from`` lists engines tried
+    before ``engine`` answered, in order (empty for every built-in
+    engine).
     """
 
     engine: str

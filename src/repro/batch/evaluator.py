@@ -309,8 +309,8 @@ def batch_target(engine):
 
     Batching is sound only for the pure dense-Markov solver: exact
     type checks (mirroring :func:`repro.cache.engine.engine_cache_id`)
-    keep chaos wrappers, fallback chains, simulation and user engines
-    on the scalar path, where their fault semantics live.
+    keep subclasses, the analytic and simulation engines and user
+    engines on the scalar path.
     """
     from ..availability.engine import MarkovEngine
     if type(engine) is MarkovEngine:

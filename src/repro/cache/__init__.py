@@ -19,7 +19,7 @@ stats|verify|purge``.  ``docs/CACHING.md`` documents the design.
 """
 
 from .engine import (CachedEngine, attach_cache, engine_cache_id,
-                     iter_cached_engines, verify_sampled_hits)
+                     verify_sampled_hits)
 from .faults import CacheFaultPlan, CacheKilled
 from .store import (STORE_FORMAT, TierEvaluationStore, entry_key,
                     tier_result_from_payload, tier_result_to_payload)
@@ -28,6 +28,6 @@ __all__ = [
     "TierEvaluationStore", "STORE_FORMAT", "entry_key",
     "tier_result_to_payload", "tier_result_from_payload",
     "CachedEngine", "attach_cache", "engine_cache_id",
-    "iter_cached_engines", "verify_sampled_hits",
+    "verify_sampled_hits",
     "CacheFaultPlan", "CacheKilled",
 ]

@@ -1,10 +1,8 @@
 """Engine wrapper that serves tier solves from the persistent store.
 
-:func:`attach_cache` is the single wiring point: given any engine the
-design runtime may be using -- a plain Markov/analytic/simulation
-engine, or a :class:`~repro.resilience.FallbackEngine` chain -- it
-inserts :class:`CachedEngine` wrappers exactly where caching is
-*sound* and leaves everything else untouched.
+:func:`attach_cache` is the single wiring point: given the engine the
+design runtime is using, it wraps it in a :class:`CachedEngine`
+exactly when caching is *sound* and leaves it untouched otherwise.
 
 Soundness rules (who gets a cache identity):
 
@@ -16,23 +14,15 @@ Soundness rules (who gets a cache identity):
   call, so a seeded engine is a deterministic function too); an
   unseeded simulation is a fresh random draw each call and must never
   be cached;
-* everything else (:class:`~repro.resilience.ChaosEngine`, an already
-  wrapped engine, user-registered engines) is passed through --
-  identity is established by **exact type**, never ``engine.name``,
-  because chaos wrappers mirror their inner engine's name.
-
-For a fallback chain each cacheable *rung* is wrapped in place rather
-than the chain itself: whether a rung answers still goes through the
-chain's retry/breaker/validation policy (a cache hit is just a very
-fast rung success), and the chain's name-keyed bookkeeping keeps
-working because :class:`CachedEngine` adopts its inner engine's name.
-Caching the whole chain would be unsound -- which rung answers depends
-on runtime fault state, so equal models need not get equal results.
+* everything else (an already wrapped engine, a subclass or any other
+  engine) is passed through -- identity is established by **exact
+  type**, never ``engine.name``, because a subclass may keep its
+  parent's name while changing what it computes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..availability import (AnalyticEngine, AvailabilityEngine,
                             MarkovEngine, SimulationEngine,
@@ -63,8 +53,8 @@ class CachedEngine(AvailabilityEngine):
     """A cacheable engine fronted by a :class:`TierEvaluationStore`.
 
     Adopts the inner engine's ``name`` so name-keyed machinery
-    (fallback breakers, provenance bookkeeping, engine spans) is
-    oblivious to the wrapper.  Every hit returns a *fresh*
+    (provenance bookkeeping, engine spans) is oblivious to the
+    wrapper.  Every hit returns a *fresh*
     :class:`~repro.availability.TierResult` (rebuilt from the stored
     payload), so callers that annotate results in place cannot
     contaminate the store.
@@ -90,56 +80,18 @@ class CachedEngine(AvailabilityEngine):
         """A store-only lookup (no solve, no write) for prefetchers."""
         return self.store.get(self.cache_id, model)
 
-    def drain_log(self):
-        """Forward to the inner engine when it keeps a degradation log.
-
-        The *store's* log is drained once, store-side, by the design
-        engine -- several wrappers may share one store, so draining it
-        per-wrapper would double-report.
-        """
-        inner_drain = getattr(self.inner, "drain_log", None)
-        if inner_drain is not None:
-            return inner_drain()
-        from ..resilience.events import DegradationLog
-        return DegradationLog()
-
-    def reset(self) -> None:
-        inner_reset = getattr(self.inner, "reset", None)
-        if inner_reset is not None:
-            inner_reset()
-
 
 def attach_cache(engine: AvailabilityEngine,
                  store: TierEvaluationStore) -> AvailabilityEngine:
-    """Wire ``store`` into ``engine`` wherever caching is sound.
+    """Wire ``store`` into ``engine`` when caching is sound.
 
-    Returns the engine to use (a wrapper, the same object with rungs
-    wrapped in place, or the unmodified engine when nothing in it is
-    cacheable).
+    Returns the engine to use: a wrapper, or the unmodified engine
+    when it is not cacheable (including one that is already wrapped).
     """
-    from ..resilience.fallback import FallbackEngine
-    if isinstance(engine, FallbackEngine):
-        for index, rung in enumerate(engine.engines):
-            cache_id = engine_cache_id(rung)
-            if cache_id is not None:
-                engine.engines[index] = CachedEngine(rung, store, cache_id)
-        return engine
     cache_id = engine_cache_id(engine)
     if cache_id is None:
         return engine
     return CachedEngine(engine, store, cache_id)
-
-
-def iter_cached_engines(engine: AvailabilityEngine) \
-        -> Iterator[CachedEngine]:
-    """Every :class:`CachedEngine` reachable from ``engine``."""
-    from ..resilience.fallback import FallbackEngine
-    if isinstance(engine, CachedEngine):
-        yield engine
-    elif isinstance(engine, FallbackEngine):
-        for rung in engine.engines:
-            if isinstance(rung, CachedEngine):
-                yield rung
 
 
 def verify_sampled_hits(store: TierEvaluationStore,
@@ -157,14 +109,13 @@ def verify_sampled_hits(store: TierEvaluationStore,
     """
     from ..lint.canonical import canonical_json
     from .store import tier_result_to_payload
-    wrappers = {wrapper.cache_id: wrapper
-                for wrapper in iter_cached_engines(engine)}
+    if not isinstance(engine, CachedEngine):
+        return True
     checked = 0
     for cache_id, model, payload in store.verify_samples():
-        wrapper = wrappers.get(cache_id)
-        if wrapper is None:
+        if cache_id != engine.cache_id:
             continue
-        fresh = wrapper.inner.evaluate_tier(model)
+        fresh = engine.inner.evaluate_tier(model)
         checked += 1
         if canonical_json(tier_result_to_payload(fresh)) \
                 != canonical_json(payload):
@@ -180,4 +131,4 @@ def verify_sampled_hits(store: TierEvaluationStore,
 
 
 __all__ = ["CachedEngine", "attach_cache", "engine_cache_id",
-           "iter_cached_engines", "verify_sampled_hits"]
+           "verify_sampled_hits"]

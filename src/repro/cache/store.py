@@ -35,9 +35,8 @@ Durability and integrity discipline:
 
 An in-memory LRU tier fronts the disk.  Cache hits rebuild a *fresh*
 :class:`~repro.availability.TierResult` per call (never aliasing a
-previously returned object), so downstream mutation -- e.g.
-:class:`~repro.resilience.FallbackEngine` annotating provenance in
-place -- cannot retroactively poison cached state.
+previously returned object), so downstream mutation of a returned
+result cannot retroactively poison cached state.
 """
 
 from __future__ import annotations
@@ -85,13 +84,10 @@ _COUNTER_NAMES = ("hits", "misses", "writes", "write_failures", "corrupt",
 def tier_result_to_payload(result: TierResult) -> Dict[str, Any]:
     """Serialize a tier result to the store's payload form.
 
-    Runtime fallback provenance (which resilience rung answered) is
-    deliberately dropped: the store persists *engine* answers, and
-    rung choice is per-run fault state.  Provenance the engine itself
-    attached -- e.g. the Markov solver noting a dense solve that
-    degraded to least squares, a function of the model alone -- IS
-    persisted, so a warm hit reproduces the cold result exactly,
-    degradation notes included.
+    Provenance the engine attached -- e.g. the Markov solver noting a
+    dense solve that degraded to least squares, a function of the
+    model alone -- is persisted, so a warm hit reproduces the cold
+    result exactly, degradation notes included.
     """
     payload = {
         "name": result.name,

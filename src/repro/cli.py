@@ -32,6 +32,7 @@ import sys
 import threading
 from typing import Optional
 
+from .availability import ENGINE_NAMES, build_engine
 from .core import (Aved, DesignEvaluator, SearchLimits, TierSearch)
 from .core.report import evaluation_summary, frontier_table
 from .errors import AvedError, InfeasibleError
@@ -189,12 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS")
     serve.add_argument("--max-deadline", type=float, default=600.0,
                        metavar="SECONDS")
-    serve.add_argument("--engine",
-                       choices=["markov", "analytic", "simulation",
-                                "fallback"],
-                       default="fallback",
+    serve.add_argument("--engine", choices=ENGINE_NAMES,
+                       default="markov",
                        help="per-job availability engine (default: "
-                            "fallback, the full degradation chain)")
+                            "markov)")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="supervised evaluation fan-out per design "
                             "job (default: 1, in-process supervision)")
@@ -327,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["cold", "hot", "all"], default="cold")
     watch.add_argument("--fix", action="append", default=[],
                        metavar="MECH.PARAM=VALUE")
-    watch.add_argument("--engine",
-                       choices=["markov", "analytic", "simulation",
-                                "fallback"],
+    watch.add_argument("--engine", choices=ENGINE_NAMES,
                        default="markov")
     watch.add_argument("--seed", type=int, default=1, metavar="N")
     watch.add_argument("--repair-crew", type=int, default=None,
@@ -389,9 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="cold")
     map_build.add_argument("--fix", action="append", default=[],
                            metavar="MECH.PARAM=VALUE")
-    map_build.add_argument("--engine",
-                           choices=["markov", "analytic", "simulation",
-                                    "fallback"],
+    map_build.add_argument("--engine", choices=ENGINE_NAMES,
                            default="markov")
     map_build.add_argument("--seed", type=int, default=1, metavar="N")
     map_build.add_argument("--repair-crew", type=int, default=None,
@@ -485,17 +480,13 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
                         metavar="MECH.PARAM=VALUE",
                         help="pin a mechanism parameter, e.g. "
                              "maintenanceA.level=bronze (repeatable)")
-    parser.add_argument("--engine",
-                        choices=["markov", "analytic", "simulation",
-                                 "fallback"],
+    parser.add_argument("--engine", choices=ENGINE_NAMES,
                         default="markov",
-                        help="availability engine; 'fallback' wraps the "
-                             "markov -> analytic -> simulation chain in "
-                             "the fault-tolerant runtime")
+                        help="availability engine (default: markov)")
     parser.add_argument("--seed", type=int, default=1, metavar="N",
-                        help="random seed for the simulation engine and "
-                             "resilience schedules (default: 1, so runs "
-                             "are reproducible by default)")
+                        help="random seed for the simulation engine "
+                             "(default: 1, so runs are reproducible by "
+                             "default)")
     parser.add_argument("--repair-crew", type=int, default=None,
                         metavar="N",
                         help="bound concurrent repairs per tier "
@@ -597,14 +588,7 @@ def make_limits(args) -> SearchLimits:
 
 
 def make_engine(args):
-    from .availability import get_engine
-    seed = getattr(args, "seed", 1)
-    if args.engine == "simulation":
-        return get_engine("simulation", years=500, seed=seed)
-    if args.engine == "fallback":
-        from .resilience import FallbackEngine
-        return FallbackEngine(seed=seed)
-    return get_engine(args.engine)
+    return build_engine(args.engine, getattr(args, "seed", 1))
 
 
 def resolve_jobs(args) -> Optional[int]:

@@ -347,10 +347,6 @@ SERVE_HEALTH_SCHEMA: Dict[str, Any] = {
             "type": "object",
             "additionalProperties": {"type": "integer", "minimum": 0}},
         "quarantined": {"type": "integer", "minimum": 0},
-        "breakers": {
-            "type": "object",
-            "additionalProperties": {
-                "enum": ["closed", "open", "half-open"]}},
         "pool": {"type": ["object", "null"]},
         "service_estimate_seconds": {"type": "number", "minimum": 0},
         "cache": {"type": ["object", "null"]},

@@ -29,13 +29,12 @@ from .search import (JobSearch, SearchLimits, SearchStats, TierSearch,
 class DesignOutcome:
     """The engine's output: the chosen design plus its evaluation.
 
-    ``degradation`` reports what the resilience runtime had to do to
-    produce the result -- engine fallbacks, breaker trips, retries,
-    checkpoint resumption (``AVD3xx``) and parallel-runtime events
-    such as worker crashes, quarantines, and pool restarts
-    (``AVD4xx``); None when the run used a plain engine with no
-    checkpoint or parallel runtime, empty when a resilient run saw no
-    faults.
+    ``degradation`` reports the faults the run survived and how it
+    got its result -- checkpoint resumption and failed saves
+    (``AVD3xx``), parallel-runtime events such as worker crashes,
+    quarantines, and pool restarts (``AVD4xx``), cache trouble
+    (``AVD6xx``) and batch-path degradation (``AVD8xx``); None when
+    there was nothing to report.
 
     ``metrics`` is the run's :mod:`repro.obs` metrics snapshot (a
     plain nested dict -- counters, gauges, histograms); None unless an
@@ -74,7 +73,7 @@ class DesignOutcome:
 
     @property
     def degraded(self) -> bool:
-        """True when any fallback/trip/retry happened during the run."""
+        """True when the run reported any degradation event."""
         return self.degradation is not None and len(self.degradation) > 0
 
     def summary(self) -> str:
@@ -144,8 +143,8 @@ class Aved:
         ``"auto"`` enables it when the availability engine is
         deterministic and MTTR-monotone (Markov or analytic -- the
         engines the certificates are sound for) and silently disables
-        it otherwise (simulation noise or cross-run engine fallback
-        could make a probe bound unreliable); ``True`` forces it on
+        it otherwise (simulation noise could make a probe bound
+        unreliable); ``True`` forces it on
         regardless of engine (the caller vouches for soundness).  A
         pruned run reaches the same :class:`DesignOutcome` as the
         unpruned one with fewer availability solves; provenance lands
@@ -154,9 +153,9 @@ class Aved:
         ``cache`` attaches a persistent tier-evaluation store
         (:mod:`repro.cache`): a directory path or a pre-opened
         :class:`~repro.cache.TierEvaluationStore`.  Deterministic
-        engines (and the deterministic rungs of a fallback chain) then
-        serve repeat solves from disk; a warm cache reaches the same
-        :class:`DesignOutcome` as a cold or cache-off run.
+        engines then serve repeat solves from disk; a warm cache
+        reaches the same :class:`DesignOutcome` as a cold or cache-off
+        run.
         ``cache_verify`` additionally re-solves a seeded sample of
         cache hits after the search and quarantines the whole store on
         any divergence (``AVD604``) -- the paranoid mode for stores on
@@ -279,64 +278,34 @@ class Aved:
                           % type(requirements).__name__)
 
     def _degradation_report(self) -> Optional[LintReport]:
-        """Collect the resilience runtime's record of this run.
+        """Collect the runtime's record of this run.
 
-        Drains the evaluation engine's degradation log (when the
-        engine keeps one -- :class:`repro.resilience.FallbackEngine`
-        does) and notes checkpoint resumption.  Returns None when
-        neither applies, so plain runs stay report-free.
+        Drains the batch, parallel-runtime, cache and checkpoint logs
+        and notes checkpoint resumption.  Returns None when none of
+        them has anything to report, so plain runs stay report-free.
         """
-        report: Optional[LintReport] = None
-        drain = getattr(self.evaluator.engine, "drain_log", None)
-        if drain is not None:
-            report = drain().to_lint_report()
-        if self._batch_log is not None and len(self._batch_log):
-            batch_report = self._batch_log.to_lint_report()
+        report = LintReport()
+        if self._batch_log is not None:
+            report.extend(self._batch_log.to_lint_report())
             self._batch_log.clear()
-            if report is None:
-                report = batch_report
-            else:
-                report.extend(batch_report)
         if self.parallel is not None:
-            runtime_log = self.parallel.drain_log()
-            if len(runtime_log):
-                runtime_report = runtime_log.to_lint_report()
-                if report is None:
-                    report = runtime_report
-                else:
-                    report.extend(runtime_report)
+            report.extend(self.parallel.drain_log().to_lint_report())
         if self.cache_store is not None:
-            # Drained store-side (not via the engine wrapper): several
-            # wrappers -- fallback rungs, worker copies -- may share
-            # the one store, and its log must be reported exactly once.
-            cache_log = self.cache_store.drain_log()
-            if len(cache_log):
-                cache_report = cache_log.to_lint_report()
-                if report is None:
-                    report = cache_report
-                else:
-                    report.extend(cache_report)
-        if self.checkpoint is not None:
-            drain_checkpoint = getattr(self.checkpoint, "drain_log",
-                                       None)
-            if drain_checkpoint is not None:
-                checkpoint_log = drain_checkpoint()
-                if len(checkpoint_log):
-                    checkpoint_report = checkpoint_log.to_lint_report()
-                    if report is None:
-                        report = checkpoint_report
-                    else:
-                        report.extend(checkpoint_report)
+            # Drained store-side (not via the engine wrapper): worker
+            # copies of the wrapper share the one store, and its log
+            # must be reported exactly once.
+            report.extend(self.cache_store.drain_log().to_lint_report())
+        drain_checkpoint = getattr(self.checkpoint, "drain_log", None)
+        if drain_checkpoint is not None:
+            report.extend(drain_checkpoint().to_lint_report())
         if self.checkpoint is not None and self.checkpoint.resumed:
-            if report is None:
-                report = LintReport()
             report.add(Diagnostic.new(
                 "AVD308",
                 "resumed from checkpoint: %d prior solve(s), %d "
                 "completed frontier(s) reused"
                 % (self.checkpoint.resumed_evaluations,
                    len(self.checkpoint.completed_tiers))))
-        return report
+        return report if len(report) else None
 
     def _prune_enabled(self) -> bool:
         """Resolve the ``prune`` setting against the active engine.
@@ -344,8 +313,7 @@ class Aved:
         The dominance lemma holds for deterministic, MTTR-monotone
         engines; ``"auto"`` therefore enables pruning only for the
         Markov and analytic engines, never for simulation (seeded
-        noise breaks the probe bound) or a resilience fallback stack
-        (the answering engine can differ per candidate).
+        noise breaks the probe bound).
         """
         if self.prune is True:
             return True

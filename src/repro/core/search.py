@@ -328,10 +328,7 @@ class _TierSearchBase:
             # evaluation and the batch still counts as a batch), so
             # cache-off, cold, and warm runs report identical search
             # statistics -- part of the byte-identical-outcome
-            # contract.  Probing is only sound at the top level for a
-            # plain cached engine; fallback chains cache per *rung*
-            # (which rung answers is runtime fault state, not a
-            # function of the model).
+            # contract.
             probe = getattr(self.evaluator.engine, "cache_probe", None)
             merged = {}
             if probe is not None:

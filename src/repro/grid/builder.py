@@ -56,7 +56,7 @@ from ..resilience.events import (GRID_CELL_CONVICTED,
                                  GRID_LEASE_RECLAIMED, GRID_RESUMED,
                                  GRID_SHARD_FAULT, GRID_SHARD_ISOLATED,
                                  DegradationLog)
-from ..resilience.policy import (POOL_BACKOFF, FallbackPolicy,
+from ..resilience.policy import (POOL_BACKOFF, BackoffPolicy,
                                  RetrySchedule)
 from .faults import GridBuildInterrupted, GridFaultPlan, InjectedFault
 from .journal import GridJournal, lease_abandoned, loads_key
@@ -80,7 +80,7 @@ class GridPolicy:
     lease_seconds: float = 300.0
     shard_retries: int = 2
     cell_retries: int = 2
-    backoff: FallbackPolicy = POOL_BACKOFF
+    backoff: BackoffPolicy = POOL_BACKOFF
     seed: int = 1
 
     def __post_init__(self) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -163,8 +164,9 @@ class MapService:
 
         Every answer carries ``coverage`` and ``map_age_seconds``.
         """
-        if load <= 0:
-            raise GridError("load must be positive")
+        if not 0 < load < math.inf:
+            raise GridError("load must be positive and finite, got %r"
+                            % (load,))
         self.reload()
         self.lookups += 1
         base: Dict[str, Any] = {

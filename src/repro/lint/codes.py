@@ -2,8 +2,8 @@
 
 Codes are stable identifiers CI can gate on: ``AVD0xx`` are general
 loader failures, ``AVD1xx`` come from the expression static analyzer,
-``AVD2xx`` from the model analyzer, ``AVD3xx`` from the resilience
-runtime (:mod:`repro.resilience` degradation reporting), and
+``AVD2xx`` from the model analyzer, ``AVD3xx`` from checkpointed
+search (:mod:`repro.resilience` degradation reporting), and
 ``AVD4xx`` from the supervised parallel runtime
 (:mod:`repro.parallel`) -- the 3xx/4xx families are emitted at
 *evaluation* time, not by the static pass.  Each code has a default
@@ -71,22 +71,10 @@ CODES: Dict[str, CodeInfo] = {
                        "overhead expression for undeclared category"),
     "AVD213": CodeInfo(Severity.WARNING,
                        "nActive exceeds tabulated sample range"),
-    # -- resilience runtime (degradation reporting) ----------------------
-    "AVD301": CodeInfo(Severity.WARNING,
-                       "availability engine fallback"),
-    "AVD302": CodeInfo(Severity.WARNING,
-                       "engine circuit breaker opened"),
-    "AVD303": CodeInfo(Severity.INFO,
-                       "transient engine fault recovered by retry"),
-    "AVD304": CodeInfo(Severity.WARNING,
-                       "engine call exceeded its timeout"),
-    "AVD305": CodeInfo(Severity.WARNING,
-                       "engine returned a non-finite or out-of-range "
-                       "result"),
-    "AVD306": CodeInfo(Severity.ERROR,
-                       "evaluation deadline budget exhausted"),
-    "AVD307": CodeInfo(Severity.INFO,
-                       "engine circuit breaker closed after probe"),
+    # -- checkpointed search (degradation reporting) ---------------------
+    # Codes 301-307 (engine fallback, circuit breakers, retries,
+    # timeouts, garbage results, deadline budgets) are retired with the
+    # fallback engine; their numbers are not reused.
     "AVD308": CodeInfo(Severity.INFO,
                        "search resumed from checkpoint"),
     "AVD309": CodeInfo(Severity.WARNING,

@@ -27,7 +27,8 @@ package provides the supervision layer:
 
 Degradation events surface through the same
 :class:`~repro.resilience.DegradationLog` -> :mod:`repro.lint`
-pipeline as engine fallbacks, as the ``AVD4xx`` diagnostic family.
+pipeline as checkpoint and cache faults, as the ``AVD4xx``
+diagnostic family.
 """
 
 from .executor import ParallelPolicy, SupervisedExecutor

@@ -51,7 +51,7 @@ from ..obs import observing as _obs_observing
 from ..resilience.chaos import WorkerFaultPlan
 from ..resilience.events import (QUARANTINE, TASK_TIMEOUT, WORKER_CRASH,
                                  DegradationLog)
-from ..resilience.policy import (POOL_BACKOFF, FallbackPolicy,
+from ..resilience.policy import (POOL_BACKOFF, BackoffPolicy,
                                  RetrySchedule)
 from .merge import merge_results
 from .quarantine import PoisonQuarantine
@@ -72,7 +72,7 @@ class ParallelPolicy:
     isolated run.  ``max_pool_restarts`` bounds pool restarts per
     batch before degrading to serial.  ``backoff`` supplies the
     jittered retry/restart delays
-    (:meth:`repro.resilience.FallbackPolicy.backoff_delay`).
+    (:meth:`repro.resilience.BackoffPolicy.backoff_delay`).
     """
 
     task_retries: int = 2
@@ -82,7 +82,7 @@ class ParallelPolicy:
     poll_interval: float = 0.02
     startup_timeout: float = 60.0
     validate_results: bool = True
-    backoff: FallbackPolicy = POOL_BACKOFF
+    backoff: BackoffPolicy = POOL_BACKOFF
 
     def __post_init__(self) -> None:
         if self.task_retries < 0:

@@ -8,7 +8,7 @@ the supervised executor and makes three promises:
   initialize workers is caught before any real work is queued;
 * a crashed or hung pool can be **restarted** a bounded number of
   times per batch, with jittered exponential backoff between restarts
-  (reusing :meth:`repro.resilience.FallbackPolicy.backoff_delay`);
+  (reusing :meth:`repro.resilience.BackoffPolicy.backoff_delay`);
 * when the pool cannot be created at all, or the restart budget runs
   out, the supervisor **degrades**: it records an ``AVD401`` event and
   from then on reports no pool, which the executor answers by
@@ -29,7 +29,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Optional, Tuple
 
 from ..resilience.events import POOL_DEGRADED, POOL_RESTART, DegradationLog
-from ..resilience.policy import FallbackPolicy, RetrySchedule
+from ..resilience.policy import BackoffPolicy, RetrySchedule
 
 
 def _default_pool_factory(jobs: int, initializer: Callable,
@@ -58,7 +58,7 @@ class PoolSupervisor:
     def __init__(self, jobs: int, initializer: Callable, initargs: Tuple,
                  ping: Callable[[], str],
                  log: DegradationLog,
-                 backoff: Optional[FallbackPolicy] = None,
+                 backoff: Optional[BackoffPolicy] = None,
                  max_restarts_per_batch: int = 50,
                  startup_timeout: float = 60.0,
                  seed: int = 1,

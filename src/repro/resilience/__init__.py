@@ -1,45 +1,30 @@
-"""Fault-tolerant evaluation runtime: fallback, chaos, checkpointing.
+"""Fault-tolerant search runtime: checkpoints, backoff, degradation.
 
-The design search evaluates thousands of candidate structures through
-numerical availability engines; this package keeps that pipeline
-dependable:
+The design search runs in process on deterministic engines, so a
+failing solve is a bug and fails the run loudly.  What this package
+keeps dependable are the faults that do happen around the solves:
 
-* :class:`FallbackEngine` -- a policy-driven degradation chain over
-  engines (markov -> analytic -> simulation by default) with bounded
-  jittered retry, per-engine circuit breakers, cooperative time
-  budgets, and :class:`~repro.availability.EngineProvenance` on every
-  result;
-* :class:`ChaosEngine` / :class:`FaultPlan` -- deterministic fault
-  injection (exceptions, delays, NaN/garbage results) used by the
-  chaos test suite to prove graceful degradation end-to-end;
 * :class:`SearchCheckpoint` -- periodic snapshots of search progress
   so an interrupted run resumes instead of restarting
   (``repro design --checkpoint PATH --resume``);
-* :class:`DegradationLog` -- every fallback/trip/retry surfaces as an
-  ``AVD3xx`` diagnostic through :mod:`repro.lint` and in
-  :meth:`repro.core.DesignOutcome.summary`.
-
-Importing the package registers ``FallbackEngine`` under the engine
-registry name ``"fallback"`` (``get_engine("fallback")``).
+* :class:`RetrySchedule` / :class:`BackoffPolicy` -- the one jittered
+  exponential backoff that pool restarts, task retries and grid shard
+  retries pause on;
+* :class:`DegradationLog` -- every survived fault surfaces as an
+  ``AVD`` diagnostic through :mod:`repro.lint` and in
+  :meth:`repro.core.DesignOutcome.summary`;
+* :class:`WorkerFaultPlan` -- seeded worker crash/hang injection for
+  the parallel runtime's chaos suites.
 """
 
-from ..availability import register_engine
-from .chaos import (ChaosEngine, FaultPlan, VirtualClock, WorkerFaultPlan,
-                    broken_tier_result)
+from .chaos import WorkerFaultPlan
 from .checkpoint import SearchCheckpoint
 from .events import DegradationEvent, DegradationLog
-from .fallback import CircuitBreaker, FallbackEngine
-from .policy import (DEFAULT_CHAIN, POOL_BACKOFF, FallbackPolicy,
-                     RetrySchedule)
-
-register_engine(FallbackEngine)
+from .policy import POOL_BACKOFF, BackoffPolicy, RetrySchedule
 
 __all__ = [
-    "FallbackEngine", "FallbackPolicy", "DEFAULT_CHAIN", "POOL_BACKOFF",
-    "RetrySchedule",
-    "CircuitBreaker",
-    "ChaosEngine", "FaultPlan", "VirtualClock", "WorkerFaultPlan",
-    "broken_tier_result",
+    "BackoffPolicy", "POOL_BACKOFF", "RetrySchedule",
+    "WorkerFaultPlan",
     "SearchCheckpoint",
     "DegradationEvent", "DegradationLog",
 ]

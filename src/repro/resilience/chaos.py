@@ -1,104 +1,29 @@
-"""Deterministic fault injection for availability engines.
+"""Deterministic process-level fault injection for pool workers.
 
-:class:`ChaosEngine` wraps any
-:class:`~repro.availability.AvailabilityEngine` and injects faults by
-a seeded schedule (:class:`FaultPlan`): exceptions, artificial delays,
-and NaN/garbage results.  The same seed always yields the same
-injection pattern, so chaos tests are reproducible -- the suite uses
-it to *prove* that :class:`~repro.resilience.FallbackEngine` degrades
-gracefully end-to-end through ``Aved.design()``.
-
-Garbage injection deliberately bypasses the
-:class:`~repro.availability.TierResult` validator (which would refuse
-to construct a NaN result) -- the point is to simulate an engine whose
-*output* is broken, which is exactly what the fallback runtime's
-result validation must catch.
-
-:class:`VirtualClock` pairs with the injectable ``clock``/``sleep``
-hooks of :class:`FallbackEngine` so delay injection and timeout
-detection can be tested without real sleeping.
+:class:`WorkerFaultPlan` is a seeded schedule of worker crashes and
+hangs that the supervised parallel runtime (:mod:`repro.parallel`)
+installs in every worker.  The same seed always yields the same
+schedule, so the worker-crash chaos suites are reproducible.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional, Tuple
 
-from ..availability import (AvailabilityEngine, TierAvailabilityModel,
-                            TierResult)
-from ..errors import NumericalError, SearchError
-
-
-class VirtualClock:
-    """A manually advanced monotonic clock for deterministic tests."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance a clock backwards")
-        self._now += seconds
-
-    #: Alias so a VirtualClock can stand in for ``time.sleep``.
-    def sleep(self, seconds: float) -> None:
-        self.advance(seconds)
-
-    def __call__(self) -> float:
-        return self.now()
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A seeded schedule of injected faults.
-
-    Rates are independent per-call probabilities, drawn in a fixed
-    order (error, delay, nan, garbage) from ``random.Random(seed)`` so
-    a plan replays identically.  ``fail_calls`` forces specific
-    (1-based) call numbers to raise regardless of rates;
-    ``fail_after`` makes every call past the N-th raise -- that is the
-    crash switch the checkpoint-resume tests flip.
-    """
-
-    seed: int = 0
-    error_rate: float = 0.0
-    error_type: Type[Exception] = NumericalError
-    delay_rate: float = 0.0
-    delay_seconds: float = 0.0
-    nan_rate: float = 0.0
-    garbage_rate: float = 0.0
-    garbage_value: float = 2.0
-    fail_calls: Tuple[int, ...] = ()
-    fail_after: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for name in ("error_rate", "delay_rate", "nan_rate",
-                     "garbage_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise SearchError("%s must be in [0, 1], got %r"
-                                  % (name, value))
-        if self.delay_seconds < 0:
-            raise SearchError("delay_seconds cannot be negative")
-        if self.fail_after is not None and self.fail_after < 0:
-            raise SearchError("fail_after cannot be negative")
+from ..errors import SearchError
 
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:
     """A seeded schedule of *process-level* faults for pool workers.
 
-    Where :class:`FaultPlan` injects faults an engine could plausibly
-    raise (exceptions, garbage numbers), this plan injects the faults
-    only a supervisor can survive: the worker process dies outright
-    (``os._exit``) or hangs past its wall-clock timeout.  The
-    supervised executor (:mod:`repro.parallel`) installs the plan in
-    every worker; :meth:`decide` is a pure function of
+    The plan injects the faults only a supervisor can survive: the
+    worker process dies outright (``os._exit``) or hangs past its
+    wall-clock timeout.  The supervised executor
+    (:mod:`repro.parallel`) installs the plan in every worker;
+    :meth:`decide` is a pure function of
     ``(seed, task_id, submission)``, so a schedule replays identically
     regardless of which worker picks the task up.
 
@@ -152,80 +77,3 @@ class WorkerFaultPlan:
         if rng.random() >= self.fault_rate:
             return None
         return "hang" if rng.random() < self.hang_fraction else "crash"
-
-
-def broken_tier_result(name: str, unavailability: float) -> TierResult:
-    """A TierResult carrying an invalid value (validator bypassed).
-
-    Only the chaos harness should use this: it simulates a buggy
-    engine whose output would never pass the model's own checks.
-    """
-    result = TierResult.__new__(TierResult)
-    object.__setattr__(result, "name", name)
-    object.__setattr__(result, "unavailability", unavailability)
-    object.__setattr__(result, "mode_results", ())
-    object.__setattr__(result, "provenance", None)
-    return result
-
-
-class ChaosEngine(AvailabilityEngine):
-    """An availability engine with scheduled faults injected.
-
-    Wraps ``inner`` and, per :meth:`evaluate_tier` call, consults the
-    :class:`FaultPlan`.  ``clock`` (a :class:`VirtualClock`) makes
-    delay injection advance virtual time; without one, delays really
-    sleep.  ``injected`` tallies what was injected, keyed by kind.
-    """
-
-    name = "chaos"
-
-    def __init__(self, inner: AvailabilityEngine,
-                 plan: Optional[FaultPlan] = None,
-                 clock: Optional[VirtualClock] = None):
-        self.inner = inner
-        self.plan = plan if plan is not None else FaultPlan()
-        self.clock = clock
-        self._rng = random.Random(self.plan.seed)
-        self.calls = 0
-        self.injected: Dict[str, int] = {}
-        # Mirror the wrapped engine's registry name so breakers and
-        # provenance records blame the real engine, not "chaos".
-        self.name = inner.name
-
-    def _count(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-
-    def evaluate_tier(self, model: TierAvailabilityModel) -> TierResult:
-        self.calls += 1
-        plan = self.plan
-        if plan.fail_after is not None and self.calls > plan.fail_after:
-            self._count("fail-after")
-            raise plan.error_type(
-                "injected fault: call %d is past fail_after=%d"
-                % (self.calls, plan.fail_after))
-        if self.calls in plan.fail_calls:
-            self._count("fail-call")
-            raise plan.error_type("injected fault at call %d"
-                                  % self.calls)
-        # Fixed draw order keeps schedules stable as rates change.
-        draw_error = self._rng.random()
-        draw_delay = self._rng.random()
-        draw_nan = self._rng.random()
-        draw_garbage = self._rng.random()
-        if draw_error < plan.error_rate:
-            self._count("error")
-            raise plan.error_type("injected fault at call %d (seed %d)"
-                                  % (self.calls, plan.seed))
-        if draw_delay < plan.delay_rate and plan.delay_seconds > 0:
-            self._count("delay")
-            if self.clock is not None:
-                self.clock.advance(plan.delay_seconds)
-            else:
-                time.sleep(plan.delay_seconds)
-        if draw_nan < plan.nan_rate:
-            self._count("nan")
-            return broken_tier_result(model.name, float("nan"))
-        if draw_garbage < plan.garbage_rate:
-            self._count("garbage")
-            return broken_tier_result(model.name, plan.garbage_value)
-        return self.inner.evaluate_tier(model)

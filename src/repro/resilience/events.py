@@ -1,12 +1,13 @@
 """Degradation events and their rendering as AVD diagnostics.
 
-Every decision the fault-tolerant runtime makes -- a retry, a
-fallback, a breaker trip, a discarded garbage result -- is recorded as
-a :class:`DegradationEvent` in a :class:`DegradationLog`.  The log
+Every fault the runtime survives -- a checkpoint that could not be
+saved, a crashed worker, a quarantined candidate, a corrupt cache
+entry, a retried grid shard -- is recorded as a
+:class:`DegradationEvent` in a :class:`DegradationLog`.  The log
 renders into the existing static-analysis machinery
-(:class:`repro.lint.LintReport`) under the ``AVD3xx`` code family, so
-degraded runs surface through the same text/JSON channels CI already
-gates on, and in :meth:`repro.core.DesignOutcome.summary`.
+(:class:`repro.lint.LintReport`) under each subsystem's ``AVD`` code
+family, so degraded runs surface through the same text/JSON channels
+CI already gates on, and in :meth:`repro.core.DesignOutcome.summary`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from ..lint import Diagnostic, LintReport
 from ..obs import current as _obs_current
 
 #: Event kinds, with their diagnostic codes.
-FALLBACK = "fallback"
-RETRY = "retry"
-BREAKER_OPEN = "breaker-open"
-BREAKER_CLOSE = "breaker-close"
-TIMEOUT = "timeout"
-GARBAGE = "garbage-result"
-DEADLINE = "deadline-exhausted"
 RESUME = "checkpoint-resume"
 CHECKPOINT_FAULT = "checkpoint-fault"
 #: Supervised parallel runtime (:mod:`repro.parallel`) event kinds.
@@ -63,13 +57,6 @@ GRID_LEASE_RECLAIMED = "grid-lease-reclaimed"
 GRID_MAP_PARTIAL = "grid-map-partial"
 
 EVENT_CODES: Dict[str, str] = {
-    FALLBACK: "AVD301",
-    BREAKER_OPEN: "AVD302",
-    RETRY: "AVD303",
-    TIMEOUT: "AVD304",
-    GARBAGE: "AVD305",
-    DEADLINE: "AVD306",
-    BREAKER_CLOSE: "AVD307",
     RESUME: "AVD308",
     CHECKPOINT_FAULT: "AVD309",
     POOL_DEGRADED: "AVD401",
@@ -128,7 +115,9 @@ class DegradationEvent:
         return text
 
     def to_diagnostic(self) -> Diagnostic:
-        code = EVENT_CODES.get(self.kind, "AVD301")
+        # Strict: a kind without a registered code is a bug, never
+        # something to file under a look-alike code.
+        code = EVENT_CODES[self.kind]
         context_parts: List[str] = []
         if self.tier:
             context_parts.append("tier %r" % self.tier)
@@ -151,9 +140,9 @@ class DegradationLog:
             detail: str = "", attempt: int = 0) -> DegradationEvent:
         event = DegradationEvent(kind, engine, tier, detail, attempt)
         self.events.append(event)
-        # Every degradation decision (retry, fallback, breaker trip,
-        # crash, quarantine, ...) doubles as a metric: one counter per
-        # event kind, plus a per-engine one when the engine is known.
+        # Every degradation decision (crash, quarantine, corrupt
+        # entry, ...) doubles as a metric: one counter per event
+        # kind, plus a per-engine one when the engine is known.
         obs = _obs_current()
         if obs.enabled:
             obs.inc("degradation_events.%s" % kind)

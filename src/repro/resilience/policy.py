@@ -1,17 +1,10 @@
-"""The fallback policy: how hard to try before degrading.
+"""Jittered exponential backoff shared by every retry loop.
 
-A :class:`FallbackPolicy` is a pure-data description of the
-degradation behavior of :class:`~repro.resilience.FallbackEngine`:
-the engine chain (highest fidelity first), how transient faults are
-retried (bounded, with jittered exponential backoff), when an engine's
-circuit breaker trips and how long it stays open, and the cooperative
-time budgets (per call and per whole-design evaluation).
-
-Timeouts here are *cooperative*: the runtime cannot preempt a numpy
-solve mid-flight, so a call that overruns ``call_timeout`` completes,
-its result is discarded, and the overrun is treated as a fault (it
-counts toward the breaker and triggers fallback).  The deadline is
-checked before each new attempt starts.
+A :class:`BackoffPolicy` is the pure-data curve every retry loop
+pauses on: the supervised executor's task retries, the pool
+supervisor's restarts, and the grid builder's shard retries.
+:class:`RetrySchedule` applies it through a seeded RNG and an
+injectable sleep, so seeded runs reproduce the same pauses.
 """
 
 from __future__ import annotations
@@ -19,99 +12,30 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
-from ..errors import NumericalError, SearchError
-
-#: The default degradation chain, highest fidelity first (the paper's
-#: Markov engine, then the closed-form approximation, then simulation).
-DEFAULT_CHAIN: Tuple[str, ...] = ("markov", "analytic", "simulation")
+from ..errors import SearchError
 
 
 @dataclass(frozen=True)
-class FallbackPolicy:
-    """Knobs for the fault-tolerant evaluation runtime.
+class BackoffPolicy:
+    """A jittered exponential backoff curve.
 
-    ``chain`` names the engines in degradation order (used only when
-    the runtime builds its own engines).  ``max_retries`` bounds how
-    often a *transient* fault (see ``transient_errors``) is retried on
-    the same engine before falling back; each retry sleeps
-    ``backoff_base * backoff_factor**attempt`` seconds, scaled by a
-    seeded uniform jitter of ``+-backoff_jitter`` (fractional).
-
-    ``breaker_threshold`` consecutive faults open an engine's circuit
-    breaker; while open, the engine is skipped for
-    ``breaker_cooldown`` calls, then a single half-open probe decides
-    whether it closes again.
-
-    ``call_timeout``/``deadline`` are the cooperative time budgets in
-    seconds (None disables them): per ``evaluate_tier`` call and per
-    whole-design ``evaluate``.  ``validate_results`` rejects NaN/inf
-    or out-of-range unavailabilities as faults (on by default -- this
-    is what catches a garbage-producing engine).
+    Retry ``attempt`` (1-based) waits ``backoff_base *
+    backoff_factor**(attempt - 1)`` seconds, scaled by a seeded
+    uniform jitter of ``+-backoff_jitter`` (fractional).
     """
 
-    chain: Tuple[str, ...] = DEFAULT_CHAIN
-    max_retries: int = 2
     backoff_base: float = 0.02
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.5
-    call_timeout: Optional[float] = None
-    deadline: Optional[float] = None
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 8
-    validate_results: bool = True
-    transient_errors: Tuple[Type[BaseException], ...] = (
-        NumericalError, FloatingPointError)
 
     def __post_init__(self) -> None:
-        if not self.chain:
-            raise SearchError("fallback policy needs at least one engine")
-        if len(set(self.chain)) != len(self.chain):
-            raise SearchError("fallback chain has duplicate engines: %r"
-                              % (self.chain,))
-        if self.max_retries < 0:
-            raise SearchError("max_retries cannot be negative")
         if self.backoff_base < 0 or self.backoff_factor < 1.0:
             raise SearchError("backoff must have base >= 0 and "
                               "factor >= 1")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise SearchError("backoff_jitter must be in [0, 1]")
-        if self.call_timeout is not None and self.call_timeout <= 0:
-            raise SearchError("call_timeout must be positive or None")
-        if self.deadline is not None and self.deadline <= 0:
-            raise SearchError("deadline must be positive or None")
-        if self.breaker_threshold < 1:
-            raise SearchError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown < 1:
-            raise SearchError("breaker_cooldown must be >= 1")
-
-    def with_budget(self, remaining: Optional[float]) \
-            -> "FallbackPolicy":
-        """A copy whose time budgets are clamped to ``remaining`` seconds.
-
-        This is how a *request-level* deadline (e.g. one carried by a
-        ``repro serve`` job) propagates into the evaluation runtime:
-        the whole-design ``deadline`` becomes the smaller of the
-        existing budget and what the request has left, and a
-        ``call_timeout`` larger than the remaining budget is pulled
-        down to it.  ``remaining=None`` (no request deadline) returns
-        ``self`` unchanged; a non-positive remainder raises, because
-        the caller should have failed the request before evaluating.
-        """
-        if remaining is None:
-            return self
-        if remaining <= 0:
-            raise SearchError("deadline budget already exhausted "
-                              "(%.3fs remaining)" % remaining)
-        import dataclasses
-        deadline = (remaining if self.deadline is None
-                    else min(self.deadline, remaining))
-        call_timeout = self.call_timeout
-        if call_timeout is not None and call_timeout > remaining:
-            call_timeout = remaining
-        return dataclasses.replace(self, deadline=deadline,
-                                   call_timeout=call_timeout)
 
     def backoff_delay(self, attempt: int, unit_jitter: float) -> float:
         """Backoff before retry ``attempt`` (1-based), in seconds.
@@ -124,27 +48,24 @@ class FallbackPolicy:
         return max(base * scale, 0.0)
 
 
-#: Backoff schedule shared with the supervised parallel runtime
-#: (:mod:`repro.parallel`): task retries and pool restarts reuse the
-#: same jittered-exponential :meth:`FallbackPolicy.backoff_delay`
-#: machinery as engine retries, just with a slightly larger base
-#: (restarting a worker pool is costlier than re-running a solve).
-POOL_BACKOFF = FallbackPolicy(backoff_base=0.05, backoff_factor=2.0,
-                              backoff_jitter=0.5)
+#: Backoff for the supervised parallel runtime (:mod:`repro.parallel`)
+#: and the grid builder: task retries, pool restarts and shard retries
+#: share this curve (restarting a worker pool is costlier than a
+#: quick retry, hence the larger base).
+POOL_BACKOFF = BackoffPolicy(backoff_base=0.05, backoff_factor=2.0,
+                             backoff_jitter=0.5)
 
 
 class RetrySchedule:
     """The one jittered-backoff pauser every retry loop shares.
 
     Before this class, the ``delay = policy.backoff_delay(attempt,
-    rng.random()); sleep(delay)`` idiom was copy-pasted across the
-    engine fallback loop, the supervised executor's task retries (two
-    sites), and the pool supervisor's restarts -- each with its own
-    seeded RNG and injectable sleep.  A schedule owns that whole
-    triple: the policy supplying the curve, the RNG supplying the
-    jitter draw, and the sleep it is applied through, so new retry
-    loops (the grid's shard-lease reassignment) reuse it instead of
-    adding another copy.
+    rng.random()); sleep(delay)`` idiom was copy-pasted across every
+    retry loop -- each with its own seeded RNG and injectable sleep.
+    A schedule owns that whole triple: the policy supplying the
+    curve, the RNG supplying the jitter draw, and the sleep it is
+    applied through, so new retry loops (the grid's shard-lease
+    reassignment) reuse it instead of adding another copy.
 
     Exactly one jitter draw is consumed per :meth:`pause`/:meth:`delay`
     call -- byte-compatible with the idiom it replaces, so seeded runs
@@ -156,7 +77,7 @@ class RetrySchedule:
     ``seed`` builds a private one.
     """
 
-    def __init__(self, policy: FallbackPolicy,
+    def __init__(self, policy: BackoffPolicy,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
                  sleep: Callable[[float], None] = time.sleep,

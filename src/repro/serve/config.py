@@ -13,12 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..availability import ENGINE_NAMES
 from ..errors import ServeError
-
-#: Engines the daemon will build per job.  ``fallback`` wraps the full
-#: markov -> analytic -> simulation degradation chain.
-ENGINE_CHOICES: Tuple[str, ...] = ("markov", "analytic", "simulation",
-                                   "fallback")
 
 
 @dataclass(frozen=True)
@@ -31,8 +27,13 @@ class ServeConfig:
     queue depth) exceeds ``wait_budget`` seconds.
 
     ``default_deadline``/``max_deadline`` bound per-request deadlines
-    in seconds; the effective deadline propagates into the resilience
-    policy's evaluation budget and cancels the search cooperatively.
+    in seconds; the effective deadline cancels the search
+    cooperatively at the next candidate boundary.
+
+    ``engine`` names the availability engine built for every job and
+    for the embedded watcher -- the same engine the CLI's ``--engine``
+    builds (:func:`repro.availability.build_engine`), so a job answers
+    exactly what ``repro design`` answers.
 
     ``drain_grace`` is how long a SIGTERM'd daemon waits for running
     jobs to checkpoint and park before exiting anyway.
@@ -75,7 +76,7 @@ class ServeConfig:
     initial_service_estimate: float = 2.0
     default_deadline: float = 120.0
     max_deadline: float = 600.0
-    engine: str = "fallback"
+    engine: str = "markov"
     jobs: int = 1
     task_timeout: Optional[float] = None
     drain_grace: float = 30.0
@@ -112,9 +113,9 @@ class ServeConfig:
             raise ServeError("deadlines must be positive")
         if self.default_deadline > self.max_deadline:
             raise ServeError("default_deadline exceeds max_deadline")
-        if self.engine not in ENGINE_CHOICES:
+        if self.engine not in ENGINE_NAMES:
             raise ServeError("engine must be one of %s, got %r"
-                             % (", ".join(ENGINE_CHOICES), self.engine))
+                             % (", ".join(ENGINE_NAMES), self.engine))
         if self.jobs < 1:
             raise ServeError("jobs must be >= 1")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -176,4 +177,4 @@ class ServeConfig:
         return os.path.join(self.data_dir, "watch-checkpoint.json")
 
 
-__all__ = ["ServeConfig", "ENGINE_CHOICES"]
+__all__ = ["ServeConfig"]

@@ -84,15 +84,5 @@ def make_cancel_check(token: CancelToken,
     return check
 
 
-def remaining_budget(deadline_at: Optional[float],
-                     clock: Callable[[], float] = time.monotonic) \
-        -> Optional[float]:
-    """Seconds left until ``deadline_at``; None when no deadline."""
-    if deadline_at is None:
-        return None
-    return deadline_at - clock()
-
-
 __all__ = ["CancelToken", "JobCancelled", "make_cancel_check",
-           "remaining_budget", "REASON_DEADLINE", "REASON_DRAIN",
-           "REASON_CLIENT"]
+           "REASON_DEADLINE", "REASON_DRAIN", "REASON_CLIENT"]

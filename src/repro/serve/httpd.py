@@ -14,8 +14,7 @@ JSON API onto :class:`~repro.serve.DesignService`:
 ``GET /v1/jobs/<id>``     one job; ``?wait=S`` blocks until terminal
 ``DELETE /v1/jobs/<id>``  cancel (cooperative when running)
 ``GET /healthz``          liveness: always 200 with the health dict
-``GET /readyz``           readiness: 200 or 503 (drain, full queue,
-                          all engine breakers open)
+``GET /readyz``           readiness: 200 or 503 (drain, full queue)
 ``GET /metricz``          the ``serve.*`` metrics snapshot
 ``POST /v1/drain``        ask the daemon to drain and exit
 ========================  =======================================
@@ -31,6 +30,7 @@ exit 0), and runs until stopped.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import socket
@@ -189,12 +189,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             load = float(params["load"][0])
             downtime = float(params["downtime_minutes"][0])
-            if load <= 0 or downtime <= 0:
-                raise ValueError("must be positive")
+            # float() parses "nan" and "inf": NaN would bisect to the
+            # smallest grid cell and answer a design for it.
+            if not (0 < load < math.inf and 0 < downtime < math.inf):
+                raise ValueError("must be positive and finite")
         except (KeyError, IndexError, ValueError):
             self._send_json(400, {"error": "load and downtime_minutes "
                                            "query parameters must be "
-                                           "positive numbers"})
+                                           "positive finite numbers"})
             return
         from ..errors import AvedError
         from ..units import Duration

@@ -8,34 +8,34 @@ design with serve-specific wiring:
 
 * a **per-job checkpoint** (``checkpoints/<id>.json``) so a killed or
   drained daemon resumes the search instead of restarting it;
-* a **per-job resilient engine** whose
-  :meth:`~repro.resilience.FallbackPolicy.with_budget` deadline is the
-  request's remaining time, so the evaluation runtime itself enforces
-  the request deadline;
+* the **CLI's plain engine** (:func:`repro.availability.build_engine`
+  for ``config.engine``), so a job answers exactly what
+  ``repro design`` answers;
 * a **cancel check** threaded into the supervised evaluation runtime,
   so deadline expiry, client cancellation, and drain all stop the
-  search at the next candidate boundary.
+  search at the next candidate boundary -- the one place the request
+  deadline is enforced.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from ..availability import build_engine
 from ..errors import AvedError, InfeasibleError, ServeError
 from ..model import (JobRequirements, ServiceRequirements)
 from ..obs.metrics import MetricsRegistry
 from ..parallel import PoisonQuarantine, make_runtime
-from ..resilience import FallbackEngine, SearchCheckpoint
-from ..resilience.policy import DEFAULT_CHAIN, FallbackPolicy
+from ..resilience import SearchCheckpoint
 from ..units import Duration
 from .admission import AdmissionController, ShedDecision
 from .config import ServeConfig
-from .deadline import (REASON_CLIENT, REASON_DEADLINE, REASON_DRAIN,
-                       CancelToken, JobCancelled, make_cancel_check,
-                       remaining_budget)
+from .deadline import (REASON_CLIENT, REASON_DRAIN, CancelToken,
+                       JobCancelled, make_cancel_check)
 from .jobstore import Job, JobStore
 
 
@@ -108,7 +108,6 @@ class DesignService:
         self._threads: List[threading.Thread] = []
         self._draining = threading.Event()
         self._drained = False
-        self._last_breakers: Dict[str, str] = {}
         self._last_pool: Optional[Dict[str, Any]] = None
         if self.store.torn_lines:
             self.metrics.counter("serve.journal_torn_lines") \
@@ -234,7 +233,6 @@ class DesignService:
             "running": running,
             "jobs": self.store.counts(),
             "quarantined": len(self.quarantine),
-            "breakers": dict(self._last_breakers),
             "pool": self._last_pool,
             "service_estimate_seconds":
                 round(self.admission.service_estimate, 3),
@@ -266,19 +264,11 @@ class DesignService:
     def ready(self) -> bool:
         """May a load balancer send more work here?
 
-        Not while draining, not with a full queue, and not while the
-        last job's engine left *every* breaker in its chain open
-        (evaluation is then running on no engine at all).
+        Not while draining, and not with a full queue.
         """
         if self.draining or self._drained:
             return False
-        if self.admission.depth >= self.config.queue_limit:
-            return False
-        if self._last_breakers and all(
-                state == "open"
-                for state in self._last_breakers.values()):
-            return False
-        return True
+        return self.admission.depth < self.config.queue_limit
 
     # -- the drift reconciler ------------------------------------------
 
@@ -297,8 +287,9 @@ class DesignService:
                 infrastructure = parse_infrastructure(handle.read())
             with open(config.watch_service) as handle:
                 service = parse_service(handle.read())
-        evaluator = DesignEvaluator(infrastructure, service,
-                                    FallbackEngine(seed=config.seed))
+        evaluator = DesignEvaluator(
+            infrastructure, service,
+            build_engine(config.engine, config.seed))
         spec = WatchSpec(
             config.watch_tier, config.watch_load,
             Duration.minutes(config.watch_downtime_minutes))
@@ -358,8 +349,11 @@ class DesignService:
         except (TypeError, ValueError) as exc:
             raise ServeError("deadline_seconds must be a number") \
                 from exc
-        if deadline <= 0:
-            raise ServeError("deadline_seconds must be positive")
+        # NaN passes every comparison and would run the job with no
+        # deadline at all, so non-finite values are refused outright.
+        if not math.isfinite(deadline) or deadline <= 0:
+            raise ServeError("deadline_seconds must be a positive "
+                             "finite number")
         deadline = min(deadline, self.config.max_deadline)
         fault = payload.get("test_fault")
         if fault is not None and not self.config.allow_test_faults:
@@ -398,7 +392,7 @@ class DesignService:
         deadline_at = started + float(job.payload["deadline_seconds"])
         check = make_cancel_check(token, deadline_at, self.clock)
         try:
-            result = self._execute(job, check, deadline_at)
+            result = self._execute(job, check)
         except JobCancelled as exc:
             self._finish_cancelled(job, exc)
         except InfeasibleError as exc:
@@ -443,8 +437,8 @@ class DesignService:
             self.metrics.counter("serve.deadline_misses").inc()
             self.metrics.counter("serve.failed").inc()
 
-    def _execute(self, job: Job, check: Callable[[], None],
-                 deadline_at: float) -> Dict[str, Any]:
+    def _execute(self, job: Job,
+                 check: Callable[[], None]) -> Dict[str, Any]:
         from ..core import Aved
         from ..spec import parse_infrastructure, parse_service
         payload = job.payload
@@ -453,14 +447,11 @@ class DesignService:
         infrastructure = parse_infrastructure(payload["infrastructure"])
         service = parse_service(payload["service"])
         requirements = parse_requirements(payload["requirements"])
-        remaining = remaining_budget(deadline_at, self.clock)
-        if remaining is not None and remaining <= 0:
-            raise JobCancelled(REASON_DEADLINE)
-        engine = self._make_engine(remaining)
+        engine = build_engine(self.config.engine, self.config.seed)
         if self.cache_store is not None:
-            # Wrap cacheable rungs *before* the runtime is built so a
-            # fanned-out pool ships cached engines to its workers.
-            # Aved's own attach is a no-op on already wrapped rungs.
+            # Wrap the engine *before* the runtime is built so a
+            # fanned-out pool ships the cached engine to its workers.
+            # Aved's own attach is a no-op on an already wrapped one.
             from ..cache import attach_cache
             engine = attach_cache(engine, self.cache_store)
         checkpoint = self._make_checkpoint(job.id)
@@ -478,9 +469,6 @@ class DesignService:
         try:
             outcome = aved.design(requirements)
         finally:
-            self._last_breakers = {
-                name: breaker.state
-                for name, breaker in engine.breakers.items()}
             if runtime is not None:
                 self._last_pool = runtime.health()
                 runtime.close()
@@ -500,12 +488,6 @@ class DesignService:
         while self.clock() < end:
             check()
             time.sleep(0.05)
-
-    def _make_engine(self, remaining: Optional[float]) -> FallbackEngine:
-        chain = (DEFAULT_CHAIN if self.config.engine == "fallback"
-                 else (self.config.engine,))
-        policy = FallbackPolicy(chain=chain).with_budget(remaining)
-        return FallbackEngine(policy=policy, seed=self.config.seed)
 
     def _make_checkpoint(self, job_id: str) -> SearchCheckpoint:
         path = self.config.checkpoint_path(job_id)

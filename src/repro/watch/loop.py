@@ -28,7 +28,7 @@ Drifted parameters enter evaluation through
 :class:`DriftedEvaluator`, which substitutes observed MTBF/MTTR into
 the generated tier models by mode name (:func:`substitute_modes`) --
 the spec stays declarative and the whole engine stack (caching,
-fallback, parallel prefetch) is reused untouched.
+parallel prefetch) is reused untouched.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.availability import (AnalyticEngine, AvailabilityEngine,
-                                FailureModeEntry, MarkovEngine,
-                                SimulationEngine, TierAvailabilityModel,
-                                get_engine, register_engine)
+from repro.availability import (ENGINE_NAMES, AnalyticEngine,
+                                AvailabilityEngine, FailureModeEntry,
+                                MarkovEngine, SimulationEngine,
+                                TierAvailabilityModel, build_engine,
+                                get_engine)
 from repro.errors import EvaluationError, ModelError
 from repro.units import Duration
 
@@ -34,20 +35,19 @@ class TestRegistry:
         with pytest.raises(EvaluationError):
             get_engine("quantum")
 
-    def test_register_custom(self):
-        class FakeEngine(AvailabilityEngine):
-            name = "fake-test-engine"
+    def test_engine_names_are_the_three_engines(self):
+        assert ENGINE_NAMES == ("markov", "analytic", "simulation")
 
-            def evaluate_tier(self, model):
-                from repro.availability import TierResult
-                return TierResult(model.name, 0.0)
+    def test_build_engine_seeds_a_bounded_simulation(self):
+        engine = build_engine("simulation", seed=42)
+        assert isinstance(engine, SimulationEngine)
+        assert (engine.years, engine.seed) == (500, 42)
+        assert isinstance(build_engine("markov"), MarkovEngine)
+        assert isinstance(build_engine("analytic"), AnalyticEngine)
 
-        register_engine(FakeEngine)
-        assert isinstance(get_engine("fake-test-engine"), FakeEngine)
-
-    def test_register_rejects_non_engine(self):
+    def test_build_engine_rejects_unknown_names(self):
         with pytest.raises(EvaluationError):
-            register_engine(dict)
+            build_engine("fallback")
 
 
 class TestSeriesComposition:

@@ -17,7 +17,7 @@ from repro.core import Aved
 from repro.core.serialize import evaluation_to_dict
 from repro.model import ServiceRequirements
 from repro.parallel import ParallelEvaluationRuntime, ParallelPolicy
-from repro.resilience import FallbackPolicy, WorkerFaultPlan
+from repro.resilience import BackoffPolicy, WorkerFaultPlan
 from repro.units import Duration
 
 REQUIREMENTS = ServiceRequirements(1000, Duration.minutes(100))
@@ -36,7 +36,7 @@ def supervised_batched(infra, service, worker_plan, jobs=2,
         probe.evaluator.engine, jobs=jobs, worker_plan=worker_plan,
         policy=ParallelPolicy(task_retries=task_retries,
                               task_timeout=task_timeout,
-                              backoff=FallbackPolicy(backoff_base=0.0)))
+                              backoff=BackoffPolicy(backoff_base=0.0)))
     return Aved(infra, service, parallel=runtime, batch=True), runtime
 
 

@@ -194,8 +194,8 @@ class TestBatchTarget:
 
     def test_other_engines_are_not(self):
         assert batch_target(AnalyticEngine()) is None
-        from repro.resilience import FallbackEngine
-        assert batch_target(FallbackEngine()) is None
+        from repro.availability import SimulationEngine
+        assert batch_target(SimulationEngine(years=10, seed=1)) is None
 
     def test_markov_subclass_is_not(self):
         """Exact type check: a subclass may override evaluate_tier."""

@@ -127,14 +127,6 @@ class TestUnsupportedEngines:
         assert batched.degraded
         assert any(d.code == "AVD801" for d in batched.degradation)
 
-    def test_fallback_engine_degrades_with_avd801(self, paper_infra,
-                                                  app_tier_service):
-        from repro.resilience import FallbackEngine
-        batched = Aved(paper_infra, app_tier_service,
-                       availability_engine=FallbackEngine(),
-                       batch=True).design(REQUIREMENTS)
-        assert any(d.code == "AVD801" for d in batched.degradation)
-
     def test_avd801_reported_once_not_per_design(self, paper_infra,
                                                  app_tier_service):
         """The log drains into the first outcome's report; a second

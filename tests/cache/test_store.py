@@ -71,8 +71,8 @@ class TestRoundTrip:
         assert cached.unavailability == result.unavailability
 
     def test_hits_return_fresh_objects_never_aliases(self, tmp_path):
-        # FallbackEngine annotates results in place; a shared cached
-        # object would let one run's provenance leak into another's.
+        # A shared cached object would let one caller's in-place
+        # annotation leak into every later hit.
         store = TierEvaluationStore(str(tmp_path / "c"))
         model = tier_model()
         store.put(ENGINE_ID, model, solve(model))

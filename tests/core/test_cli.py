@@ -82,15 +82,27 @@ class TestDesignCommand:
         assert "annual cost" in output
 
 
+#: Every command that takes --engine, with its other required options.
+ENGINE_COMMANDS = [
+    ["design"], ["profile"], ["analyze", "--load", "1", "--downtime", "1m"],
+    ["frontier", "--tier", "application", "--load", "1"],
+    ["serve", "--data-dir", "d"],
+    ["watch", "--tier", "application", "--load", "1", "--downtime", "1m"],
+    ["map", "build", "--tier", "application", "--loads", "1",
+     "--out", "m.json"],
+]
+
+
 class TestResilienceOptions:
-    def test_fallback_engine_option(self):
-        code, output = run(["design", "--paper-ecommerce",
-                            "--app-tier-only", "--load", "1000",
-                            "--downtime", "100m",
-                            "--engine", "fallback"])
-        assert code == 0
-        assert "rC x6" in output
-        assert "$28,320" in output
+    @pytest.mark.parametrize("command", ENGINE_COMMANDS,
+                             ids=lambda argv: argv[0])
+    def test_fallback_engine_value_is_gone(self, command):
+        from repro.cli import build_parser
+        parser = build_parser()
+        assert parser.parse_args(command + ["--engine", "markov"])
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(command + ["--engine", "fallback"])
+        assert exit_info.value.code == 2
 
     def test_seed_reaches_simulation_engine(self):
         from repro.cli import build_parser, make_engine
@@ -100,16 +112,6 @@ class TestResilienceOptions:
              "--engine", "simulation", "--seed", "42"])
         engine = make_engine(args)
         assert engine.seed == 42
-
-    def test_seed_reaches_fallback_chain(self):
-        from repro.cli import build_parser, make_engine
-        args = build_parser().parse_args(
-            ["design", "--paper-ecommerce", "--app-tier-only",
-             "--load", "1", "--downtime", "1m",
-             "--engine", "fallback", "--seed", "7"])
-        engine = make_engine(args)
-        assert engine.engines[-1].name == "simulation"
-        assert engine.engines[-1].seed == 7
 
     def test_checkpoint_then_resume(self, tmp_path):
         path = str(tmp_path / "ck.json")

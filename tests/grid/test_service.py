@@ -1,6 +1,7 @@
 """MapService: sub-millisecond lookups, honest partial coverage."""
 
 import json
+import math
 import os
 import time
 
@@ -98,6 +99,13 @@ class TestLookup:
     def test_nonpositive_load_is_rejected(self, map_path):
         with pytest.raises(GridError):
             MapService(map_path).lookup(0.0, Duration.minutes(1))
+
+    @pytest.mark.parametrize("load", [math.nan, math.inf, -math.inf])
+    def test_non_finite_load_is_rejected(self, map_path, load):
+        # NaN compares false against everything and would bisect to
+        # the smallest grid cell, answering "ok" from it.
+        with pytest.raises(GridError):
+            MapService(map_path).lookup(load, Duration.minutes(5000))
 
     def test_corrupt_map_raises_on_use_not_on_boot(self, tmp_path):
         path = str(tmp_path / "bad.json")

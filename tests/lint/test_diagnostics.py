@@ -18,6 +18,15 @@ class TestCodeRegistry:
     def test_runtime_error_codes_are_registered(self):
         assert RUNTIME_ERROR_CODES <= set(CODES)
 
+    def test_degradation_event_codes_are_registered(self):
+        from repro.resilience.events import EVENT_CODES
+        assert set(EVENT_CODES.values()) <= set(CODES)
+
+    def test_unknown_degradation_kind_has_no_code(self):
+        from repro.resilience.events import DegradationEvent
+        with pytest.raises(KeyError):
+            DegradationEvent("no-such-kind").to_diagnostic()
+
     def test_default_severity_known_codes(self):
         assert default_severity("AVD104") is Severity.ERROR
         assert default_severity("AVD105") is Severity.WARNING

@@ -104,23 +104,26 @@ def test_trace_is_deterministic_modulo_timestamps(paper_infra,
 
 def test_degradation_events_become_counters(paper_infra,
                                             app_tier_service):
-    from repro.availability import AnalyticEngine, MarkovEngine
-    from repro.resilience import (ChaosEngine, FallbackEngine,
-                                  FallbackPolicy, FaultPlan)
+    from repro.availability import MarkovEngine
+    from repro.parallel import ParallelEvaluationRuntime, ParallelPolicy
+    from repro.resilience import BackoffPolicy, WorkerFaultPlan
 
-    flaky_markov = ChaosEngine(MarkovEngine(),
-                               FaultPlan(error_rate=1.0))
-    engine = FallbackEngine(
-        engines=[flaky_markov, AnalyticEngine()],
-        policy=FallbackPolicy(chain=("markov", "analytic"),
-                              backoff_base=0.0))
-    with observing() as obs:
-        outcome = Aved(paper_infra, app_tier_service, limits=LIMITS,
-                       availability_engine=engine).design(REQ)
+    runtime = ParallelEvaluationRuntime(
+        MarkovEngine(), jobs=2,
+        worker_plan=WorkerFaultPlan(seed=7, fault_rate=0.3,
+                                    max_faults_per_task=1),
+        policy=ParallelPolicy(task_retries=2,
+                              backoff=BackoffPolicy(backoff_base=0.0)))
+    try:
+        with observing() as obs:
+            outcome = Aved(paper_infra, app_tier_service, limits=LIMITS,
+                           parallel=runtime).design(REQ)
+    finally:
+        runtime.close()
     counters = obs.metrics.snapshot()["counters"]
-    assert counters.get("degradation_events.fallback", 0) > 0
+    assert counters.get("degradation_events.worker-crash", 0) > 0
     assert outcome.degraded
-    assert "fallback-solve" in _span_names(obs.tracer.to_dicts())
+    assert "parallel-batch" in _span_names(obs.tracer.to_dicts())
 
 
 def test_parallel_run_reparents_worker_spans(paper_infra,

@@ -10,12 +10,12 @@ import pytest
 
 from repro.errors import SearchError
 from repro.parallel import ParallelPolicy, SupervisedExecutor
-from repro.resilience import FallbackPolicy, WorkerFaultPlan
+from repro.resilience import BackoffPolicy, WorkerFaultPlan
 from repro.resilience.events import (POOL_DEGRADED, QUARANTINE,
                                      TASK_TIMEOUT, WORKER_CRASH)
 
 #: A retry policy with no sleeping, so fault-path tests stay fast.
-FAST = FallbackPolicy(backoff_base=0.0)
+FAST = BackoffPolicy(backoff_base=0.0)
 
 
 class FakeModel:

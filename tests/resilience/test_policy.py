@@ -1,11 +1,12 @@
 """Shared tests for the consolidated retry/backoff schedule.
 
-Every retry loop in the codebase (engine fallback, supervised
-executor task retries, pool-supervisor restarts, grid shard leases)
-pauses through one :class:`repro.resilience.RetrySchedule`; these
-tests pin down the contract they all rely on: one jitter draw per
-pause, byte-compatibility with the idiom the schedule replaced, the
-attempt cap, and the injectable sleep.
+Every retry loop in the codebase (supervised executor task retries,
+pool-supervisor restarts, grid shard leases) pauses through one
+:class:`repro.resilience.RetrySchedule` on a
+:class:`repro.resilience.BackoffPolicy` curve; these tests pin down
+the contract they all rely on: the curve and its validation, one
+jitter draw per pause, byte-compatibility with the idiom the schedule
+replaced, the attempt cap, and the injectable sleep.
 """
 
 import random
@@ -13,7 +14,36 @@ import random
 import pytest
 
 from repro.errors import SearchError
-from repro.resilience import POOL_BACKOFF, FallbackPolicy, RetrySchedule
+from repro.resilience import POOL_BACKOFF, BackoffPolicy, RetrySchedule
+
+
+def test_defaults_valid():
+    policy = BackoffPolicy()
+    assert (policy.backoff_base, policy.backoff_factor,
+            policy.backoff_jitter) == (0.02, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"backoff_base": -0.1},
+    {"backoff_factor": 0.5},
+    {"backoff_jitter": 2.0},
+    {"backoff_jitter": -0.1},
+])
+def test_invalid_knobs_rejected(kwargs):
+    with pytest.raises(SearchError):
+        BackoffPolicy(**kwargs)
+
+
+def test_backoff_grows_and_jitters():
+    policy = BackoffPolicy(backoff_base=0.1, backoff_factor=2.0,
+                           backoff_jitter=0.5)
+    mid1 = policy.backoff_delay(1, 0.5)
+    mid2 = policy.backoff_delay(2, 0.5)
+    assert mid2 == pytest.approx(2.0 * mid1)
+    low = policy.backoff_delay(1, 0.0)
+    high = policy.backoff_delay(1, 1.0)
+    assert low == pytest.approx(0.05)
+    assert high == pytest.approx(0.15)
 
 
 def test_delay_matches_replaced_idiom():
@@ -21,8 +51,8 @@ def test_delay_matches_replaced_idiom():
     # produce policy.backoff_delay(attempt, draw) -- the literal code
     # it replaced -- so seeded runs reproduce pre-consolidation
     # schedules.
-    policy = FallbackPolicy(backoff_base=0.5, backoff_factor=3.0,
-                            backoff_jitter=0.25)
+    policy = BackoffPolicy(backoff_base=0.5, backoff_factor=3.0,
+                           backoff_jitter=0.25)
     schedule = RetrySchedule(policy, rng=random.Random(7),
                              sleep=lambda s: None)
     reference = random.Random(7)
@@ -45,7 +75,7 @@ def test_one_draw_per_pause_shared_rng():
 def test_sleep_injection_and_accounting():
     slept = []
     schedule = RetrySchedule(
-        FallbackPolicy(backoff_base=1.0, backoff_jitter=0.0),
+        BackoffPolicy(backoff_base=1.0, backoff_jitter=0.0),
         seed=11, sleep=slept.append)
     d1 = schedule.pause(1)
     d2 = schedule.pause(2)
@@ -56,7 +86,7 @@ def test_sleep_injection_and_accounting():
 
 def test_zero_base_never_sleeps():
     calls = []
-    schedule = RetrySchedule(FallbackPolicy(backoff_base=0.0),
+    schedule = RetrySchedule(BackoffPolicy(backoff_base=0.0),
                              seed=1, sleep=calls.append)
     assert schedule.pause(4) == 0.0
     assert calls == []
@@ -64,8 +94,8 @@ def test_zero_base_never_sleeps():
 
 
 def test_max_attempt_caps_the_exponent():
-    policy = FallbackPolicy(backoff_base=0.25, backoff_factor=2.0,
-                            backoff_jitter=0.0)
+    policy = BackoffPolicy(backoff_base=0.25, backoff_factor=2.0,
+                           backoff_jitter=0.0)
     capped = RetrySchedule(policy, seed=5, sleep=lambda s: None,
                            max_attempt=3)
     assert capped.delay(50) == policy.backoff_delay(3, 0.5)

@@ -1,9 +1,9 @@
 """Shared fixtures for the serve suite.
 
 Everything runs against the tiny model from
-:func:`repro.serve.loadgen.tiny_specs` with the markov engine and
-``fsync`` off -- fast enough that full submit-to-completion round
-trips are unit-test material.  ``test_soak.py`` is the only module
+:func:`repro.serve.loadgen.tiny_specs` on the daemon's default engine
+with ``fsync`` off -- fast enough that full submit-to-completion
+round trips are unit-test material.  ``test_soak.py`` is the only module
 that boots real subprocesses.
 """
 
@@ -37,7 +37,6 @@ def make_config(tmp_path, **overrides):
         data_dir=str(tmp_path / "data"),
         workers=1,
         queue_limit=4,
-        engine="markov",
         fsync=False,
         allow_test_faults=True,
         wait_budget=60.0,

@@ -4,8 +4,7 @@ import pytest
 
 from repro.serve.deadline import (REASON_CLIENT, REASON_DEADLINE,
                                   REASON_DRAIN, CancelToken,
-                                  JobCancelled, make_cancel_check,
-                                  remaining_budget)
+                                  JobCancelled, make_cancel_check)
 
 
 class TestCancelToken:
@@ -55,15 +54,3 @@ class TestCancelCheck:
     def test_jobcancelled_message_carries_reason(self):
         error = JobCancelled(REASON_DRAIN)
         assert "drain" in str(error)
-
-
-class TestRemainingBudget:
-    def test_none_without_deadline(self):
-        assert remaining_budget(None) is None
-
-    def test_counts_down_on_the_given_clock(self):
-        clock_now = [10.0]
-        clock = lambda: clock_now[0]   # noqa: E731
-        assert remaining_budget(12.5, clock) == 2.5
-        clock_now[0] = 13.0
-        assert remaining_budget(12.5, clock) == -0.5

@@ -92,11 +92,19 @@ class TestMapEndpoint:
         assert status == 503
         assert body["answer"] == "unbuilt"
 
+    # A NaN load would bisect to the smallest grid cell and answer
+    # "ok" for a load nobody asked about.
     @pytest.mark.parametrize("query", [
         "", "load=100", "downtime_minutes=5",
         "load=abc&downtime_minutes=5",
         "load=-3&downtime_minutes=5",
         "load=100&downtime_minutes=0",
+        "load=nan&downtime_minutes=5000",
+        "load=inf&downtime_minutes=5000",
+        "load=-inf&downtime_minutes=5000",
+        "load=150&downtime_minutes=nan",
+        "load=150&downtime_minutes=inf",
+        "load=150&downtime_minutes=-inf",
     ])
     def test_bad_parameters_are_400(self, make_daemon, map_file,
                                     query):

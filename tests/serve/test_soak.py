@@ -37,8 +37,7 @@ def start_daemon(data_dir, *extra):
     env["PYTHONPATH"] = os.path.abspath(SRC)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--data-dir", str(data_dir), "--port", "0",
-         "--engine", "markov", "--no-fsync",
+         "--data-dir", str(data_dir), "--port", "0", "--no-fsync",
          "--allow-test-faults"] + list(extra),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=env, text=True)
