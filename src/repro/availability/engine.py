@@ -19,12 +19,13 @@ name, which the benchmarks use for engine-ablation runs;
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..errors import EvaluationError
 from ..obs import current as _obs_current
-from . import analytic, markov
-from .model import AvailabilityResult, TierAvailabilityModel, TierResult
+from . import analytic
+from .model import (AvailabilityResult, TierAvailabilityModel, TierOutcome,
+                    TierResult)
 from .rbd import series_unavailability
 from .simulation import simulate_tier
 
@@ -38,6 +39,27 @@ class AvailabilityEngine:
     def evaluate_tier(self, model: TierAvailabilityModel) -> TierResult:
         raise NotImplementedError
 
+    def evaluate_tiers(self, models: Sequence[TierAvailabilityModel],
+                       chain_cache: Optional[dict] = None,
+                       log=None) -> List[TierOutcome]:
+        """Solve many models; one result *or* exception per model.
+
+        The search hands each wavefront of candidates to this method
+        and decides lazily whether an erroring member is ever reached,
+        so a failure is returned in its slot instead of raised.
+        ``chain_cache`` (a per-search memo of solved chains) and
+        ``log`` (a :class:`~repro.resilience.events.DegradationLog`)
+        are for engines that solve stacked chains; this default loops
+        over :meth:`evaluate_tier` and ignores both.
+        """
+        outcomes: List[TierOutcome] = []
+        for model in models:
+            try:
+                outcomes.append(self.evaluate_tier(model))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
     def evaluate(self, models: Sequence[TierAvailabilityModel]) \
             -> AvailabilityResult:
         """Evaluate a whole design: tiers composed in series."""
@@ -50,16 +72,32 @@ class AvailabilityEngine:
 
 
 class MarkovEngine(AvailabilityEngine):
-    """Exact per-mode CTMC solution with failure-mode decomposition."""
+    """Exact per-mode CTMC solution with failure-mode decomposition.
+
+    Every solve goes through the stacked wavefront solver
+    (:func:`repro.batch.solve_models`); one model is a wavefront of
+    one.
+    """
 
     name = "markov"
 
     def evaluate_tier(self, model: TierAvailabilityModel) -> TierResult:
+        outcome = self.evaluate_tiers([model])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def evaluate_tiers(self, models: Sequence[TierAvailabilityModel],
+                       chain_cache: Optional[dict] = None,
+                       log=None) -> List[TierOutcome]:
+        from ..batch import solve_models
         obs = _obs_current()
-        if obs.enabled:
-            with obs.engine_span(self.name, model):
-                return markov.evaluate_tier(model)
-        return markov.evaluate_tier(model)
+        if obs.enabled and models:
+            with obs.engine_span(self.name, models[0],
+                                 members=len(models)):
+                return solve_models(models, log=log,
+                                    chain_cache=chain_cache)
+        return solve_models(models, log=log, chain_cache=chain_cache)
 
 
 class AnalyticEngine(AvailabilityEngine):

@@ -18,6 +18,13 @@ Two chain shapes are used, following the paper's failover rule:
 * **In-place repair chain** (otherwise): state ``r`` = failed active
   resources; each repairs at ``1/MTTR`` and resumes its slot.  The tier
   is down while ``n - r < m``.
+
+This module builds each chain by depth-first exploration and solves it
+alone.  Searches and :class:`~repro.availability.MarkovEngine` solve
+through the stacked wavefront solver (:mod:`repro.batch`) instead,
+which reproduces these results bit for bit; the DFS builder remains
+its reference in the tests and re-solves the members the stacked
+solver cannot take (``AVD802``/``AVD803``).
 """
 
 from __future__ import annotations
@@ -59,10 +66,10 @@ def compose_tier_result(model: TierAvailabilityModel, solve_mode,
 
     ``solve_mode`` maps a :class:`FailureModeEntry` to its
     :class:`ModeResult` (or raises).  Factored out of
-    :func:`evaluate_tier` so the batched path
+    :func:`evaluate_tier` so the stacked wavefront solver
     (:mod:`repro.batch`) runs the *same* validation and series
-    composition, float op for float op -- part of the batched ==
-    scalar bit-identity contract.
+    composition, float op for float op -- part of its bit-identity
+    contract with this DFS chain builder.
 
     ``notes`` are degraded-solve annotations (least-squares fallbacks)
     collected while solving; when present they are attached as a

@@ -21,7 +21,7 @@ consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from ..errors import ModelError
 from ..units import Duration
@@ -247,6 +247,11 @@ class TierResult:
     @property
     def annual_downtime(self) -> Duration:
         return Duration.minutes(self.downtime_minutes)
+
+
+#: One model's solved tier result, or the exception its solve raised
+#: (see :meth:`repro.availability.AvailabilityEngine.evaluate_tiers`).
+TierOutcome = Union[TierResult, Exception]
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,20 @@
 
 Groups pending tier evaluations by chain shape, assembles their
 birth-death generators into stacked dense systems, and solves each
-group in one numpy pass -- replacing N independent scalar
-``ctmc``/``markov`` solves on the cold path with bit-identical
-results.  See ``docs/BATCHING.md``.
+group in numpy passes -- the solver behind every Markov tier solve
+(:meth:`repro.availability.MarkovEngine.evaluate_tiers`), bit-identical
+to the DFS chain builder it replaced.  See ``docs/BATCHING.md``.
 """
 
 from .chains import (ChainTemplate, TemplateCache, failover_template,
                      inplace_template)
-from .evaluator import (TierBatcher, TierOutcome, batch_target,
-                        solve_models, solve_outcomes,
-                        transport_shape_key)
-from .stacked import (assemble_systems, reduce_group, solve_size_class,
-                      solve_stacked)
+from .evaluator import solve_models, transport_shape_key
+from .stacked import (STACK_BYTES, assemble_systems, reduce_group,
+                      solve_size_class, solve_stacked)
 
 __all__ = [
-    "ChainTemplate", "TemplateCache", "TierBatcher", "TierOutcome",
-    "assemble_systems", "batch_target", "failover_template",
-    "inplace_template", "reduce_group", "solve_models",
-    "solve_outcomes", "solve_size_class", "solve_stacked",
+    "ChainTemplate", "STACK_BYTES", "TemplateCache", "assemble_systems",
+    "failover_template", "inplace_template", "reduce_group",
+    "solve_models", "solve_size_class", "solve_stacked",
     "transport_shape_key",
 ]

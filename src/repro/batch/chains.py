@@ -1,13 +1,13 @@
 """Shape templates for the batched birth-death chain solver.
 
-The scalar Markov path (:mod:`repro.availability.markov`) re-explores
+The DFS chain builder (:mod:`repro.availability.markov`) re-explores
 one CTMC per (candidate, failure mode).  But the chain's *shape* --
 its state set, transition structure and integer edge coefficients --
 depends only on ``(n, m, s, crew, susceptibility)``, never on the
 rates; candidates that share a shape differ only in the four rate
 scalars.  A :class:`ChainTemplate` captures one shape exactly once, in
-the scalar solver's own exploration order, so stacked assemblies over
-it reproduce the scalar generator bit for bit.
+the DFS builder's own exploration order, so stacked assemblies over
+it reproduce that generator bit for bit.
 
 Templates carry precomputed index arrays (edge origins/targets, the
 per-origin diagonal accumulation schedule, down-state indices, flux
@@ -43,12 +43,14 @@ DENSE_LIMIT = _DENSE_LIMIT
 class ChainTemplate:
     """One chain shape, with vectorized-assembly index arrays.
 
-    ``edges`` are ``(origin, target, kind, coeff)`` in the exact order
-    the scalar solver's DFS emits them; ``down_states`` and the flux
-    weights are in state-discovery order.  Both orders matter: the
-    stacked path replays the scalar float-operation sequence per
-    matrix cell and per reduction, which is what makes batched and
-    scalar results bitwise identical.
+    Edges are ``(origin, target, kind, coeff)`` in the exact order the
+    DFS chain builder emits them; down states and the flux weights are
+    in state-discovery order.  Both orders matter: the stacked path
+    replays the DFS builder's float-operation sequence per matrix cell
+    and per reduction, which is what makes both bitwise identical.
+    Only the numpy arrays are kept (templates live for the whole
+    process); :attr:`edges` and :attr:`down_states` rebuild the tuple
+    views from them.
     """
 
     def __init__(self, kind: str, size: int,
@@ -57,8 +59,6 @@ class ChainTemplate:
                  flux_manned: List[int], flux_idle: List[int]):
         self.kind = kind
         self.size = size
-        self.edges = tuple(edges)
-        self.down_states = tuple(down_states)
         # -- vectorized assembly arrays --------------------------------
         self.edge_origin = np.array([e[0] for e in edges], dtype=np.intp)
         self.edge_target = np.array([e[1] for e in edges], dtype=np.intp)
@@ -86,6 +86,19 @@ class ChainTemplate:
         self.down_index = np.array(down_states, dtype=np.intp)
         self.flux_manned = np.array(flux_manned, dtype=np.float64)
         self.flux_idle = np.array(flux_idle, dtype=np.float64)
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """``(origin, target, kind, coeff)`` in emission order."""
+        return tuple(zip(self.edge_origin.tolist(),
+                         self.edge_target.tolist(),
+                         self.edge_kind.tolist(),
+                         self.edge_coeff.astype(np.int64).tolist()))
+
+    @property
+    def down_states(self) -> Tuple[int, ...]:
+        """Down-state indices in discovery order."""
+        return tuple(self.down_index.tolist())
 
 
 def inplace_template(n: int, m: int, crew: int) -> ChainTemplate:

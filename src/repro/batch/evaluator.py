@@ -1,50 +1,50 @@
-"""Batched tier evaluation: grouping, fallbacks, and the search hook.
+"""Batched tier evaluation: grouping, fallbacks and shape chunking.
 
-The core entry point is :func:`solve_models`: given a list of
+The core entry point is :func:`solve_models`, which
+:meth:`repro.availability.MarkovEngine.evaluate_tiers` calls for every
+wavefront: given a list of
 :class:`~repro.availability.TierAvailabilityModel`, it plans every
 (model, mode) chain, groups same-shape chains across the whole batch,
-solves each group in one stacked numpy pass, and composes per-model
-:class:`~repro.availability.TierResult` objects through the scalar
-path's own validation loop
+solves each group in stacked numpy passes, and composes per-model
+:class:`~repro.availability.TierResult` objects through the DFS
+solver's own validation loop
 (:func:`repro.availability.markov.compose_tier_result`).
 
 Graceful degradation is per member, never per batch:
 
 * a model whose rates are non-finite/zero where the shape expects a
   positive rate, or whose chain exceeds the dense-solve limit, is
-  re-solved through the scalar path (``BATCH_MEMBER_DEGRADED`` /
+  re-solved through the DFS chain builder of
+  :mod:`repro.availability.markov` (``BATCH_MEMBER_DEGRADED`` /
   AVD803);
 * a stacked group whose LU factorization fails (any singular member)
-  falls back to scalar solves for every model touching that group
-  (``BATCH_GROUP_FALLBACK`` / AVD802) -- the scalar path reproduces
-  the least-squares corner-case handling exactly;
-* the scalar re-solve reproduces scalar *exceptions* as well as scalar
-  values, so error behavior is identical whichever path ran.
+  falls back to DFS solves for every model touching that group
+  (``BATCH_GROUP_FALLBACK`` / AVD802) -- the DFS path reproduces the
+  least-squares corner-case handling exactly;
+* the DFS re-solve reproduces its *exceptions* as well as its values,
+  so error behavior is identical whichever path ran.
 
 Per-model failures are returned as exception objects rather than
 raised: the search decides lazily whether an erroring candidate is
 ever actually reached (a cost-pruned candidate must not abort the
-batch), mirroring the scalar loop's laziness.
+wavefront).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..availability.markov import (_MIN_HOURS, compose_tier_result,
-                                   evaluate_mode, evaluate_tier)
+                                   evaluate_tier)
 from ..availability.model import (FailureModeEntry, ModeResult,
-                                  TierAvailabilityModel, TierResult)
+                                  TierAvailabilityModel, TierOutcome)
+from ..obs import current as _obs_current
 from ..units import HOURS_PER_YEAR
 from .chains import DENSE_LIMIT, ShapeKey, TemplateCache
 from .stacked import reduce_group, solve_size_class, solve_stacked
-
-#: One model's solved tier result, or the exception the scalar path
-#: would have raised for it.
-TierOutcome = Union[TierResult, Exception]
 
 #: Shared per-process template cache (templates are immutable).
 _TEMPLATES = TemplateCache()
@@ -92,7 +92,8 @@ def _mode_plan(model: TierAvailabilityModel, mode: FailureModeEntry):
 
 
 def _scalar_outcome(model: TierAvailabilityModel) -> TierOutcome:
-    """Solve one model through the scalar path, capturing its error."""
+    """Solve one model through the DFS chain builder, capturing its
+    error."""
     try:
         return evaluate_tier(model)
     except Exception as exc:
@@ -115,8 +116,12 @@ def solve_models(models: Sequence[TierAvailabilityModel],
     the varied mechanism's chain differs), and the solve is
     deterministic, so reuse returns bit-identical floats.
     ``chain_cache`` (optional dict) persists that memo across calls --
-    the :class:`TierBatcher` passes one per search so later wavefronts
-    skip chains any earlier wavefront solved.
+    each search passes one, so later wavefronts skip chains any
+    earlier wavefront solved.
+
+    With an observer installed, ``batch.members`` counts the models
+    (and :func:`~repro.batch.stacked.solve_size_class` counts
+    ``batch.lapack_calls``).
     """
     templates = templates if templates is not None else _TEMPLATES
     outcomes: List[Optional[TierOutcome]] = [None] * len(models)
@@ -195,7 +200,7 @@ def solve_models(models: Sequence[TierAvailabilityModel],
         except np.linalg.LinAlgError:
             # A singular member poisons the merged solve; retry per
             # group to isolate it, then degrade only that group's
-            # members to scalar re-solves -- exact values, exact
+            # members to DFS re-solves -- exact values, exact
             # exceptions, just slower.
             for key, template, rates, member_rates in size_groups:
                 try:
@@ -239,6 +244,9 @@ def solve_models(models: Sequence[TierAvailabilityModel],
 
     if log is not None:
         _log_degradations(log, models, degraded_members, group_fallback)
+    obs = _obs_current()
+    if obs.enabled:
+        obs.inc("batch.members", len(models))
     return [outcome for outcome in outcomes]  # type: ignore[misc]
 
 
@@ -268,62 +276,6 @@ def _log_degradations(log, models, degraded_members,
                        "path" % (key,))
 
 
-def solve_outcomes(engine, models: Sequence[TierAvailabilityModel],
-                   log=None,
-                   chain_cache: Optional[dict] = None) -> List[TierOutcome]:
-    """Batch-solve ``models`` honoring a cache wrapper, never raising.
-
-    ``engine`` must be a batch target (see :func:`batch_target`):
-    either a plain :class:`~repro.availability.MarkovEngine` or a
-    :class:`~repro.cache.engine.CachedEngine` over one.  For the cached
-    form, each model is looked up first (one ``get`` per model, the
-    same count the scalar warm path performs) and only misses are
-    batch-solved; fresh results fan out into per-key ``put`` calls so
-    warm paths stay byte-identical and shared.
-    """
-    from ..cache.engine import CachedEngine
-    if not isinstance(engine, CachedEngine):
-        return solve_models(models, log=log, chain_cache=chain_cache)
-    outcomes: List[Optional[TierOutcome]] = [None] * len(models)
-    miss_indices: List[int] = []
-    miss_models: List[TierAvailabilityModel] = []
-    for index, model in enumerate(models):
-        cached = engine.store.get(engine.cache_id, model)
-        if cached is not None:
-            outcomes[index] = cached
-        else:
-            miss_indices.append(index)
-            miss_models.append(model)
-    if miss_models:
-        fresh = solve_models(miss_models, log=log,
-                             chain_cache=chain_cache)
-        for index, outcome in zip(miss_indices, fresh):
-            outcomes[index] = outcome
-            if isinstance(outcome, TierResult):
-                engine.store.put(engine.cache_id, models[index], outcome)
-    return [outcome for outcome in outcomes]  # type: ignore[misc]
-
-
-def batch_target(engine):
-    """The engine to batch through, or None when unsupported.
-
-    Batching is sound only for the pure dense-Markov solver: exact
-    type checks (mirroring :func:`repro.cache.engine.engine_cache_id`)
-    keep subclasses, the analytic and simulation engines and user
-    engines on the scalar path.
-    """
-    from ..availability.engine import MarkovEngine
-    if type(engine) is MarkovEngine:
-        return engine
-    try:
-        from ..cache.engine import CachedEngine
-    except ImportError:                                # pragma: no cover
-        return None
-    if type(engine) is CachedEngine and type(engine.inner) is MarkovEngine:
-        return engine
-    return None
-
-
 def transport_shape_key(model: TierAvailabilityModel) -> tuple:
     """A cheap structural key for chunking tasks across pool workers.
 
@@ -332,33 +284,3 @@ def transport_shape_key(model: TierAvailabilityModel) -> tuple:
     partition, not a perfect one.
     """
     return (model.n, model.m, model.s, model.repair_crew)
-
-
-class TierBatcher:
-    """The search-side batching facade.
-
-    Owns the engine handed to it (already cache-wrapped when caching
-    is on) plus the degradation log batching events report into.
-    ``solve_tasks`` maps prefetch tasks ``(key, model)`` to
-    ``{key: unavailability}`` for every task whose solve succeeded;
-    erroring members are simply omitted, so the serial decision loop
-    lazily re-raises through the scalar path only if it actually
-    reaches them.
-    """
-
-    def __init__(self, engine, log=None):
-        self.engine = engine
-        self.log = log
-        # Per-search chain memo: (shape key, rates) -> (u, f).  Reuse
-        # is bit-identical because the stacked solve is deterministic.
-        self._chains: Dict[tuple, Tuple[float, float]] = {}
-
-    def solve_tasks(self, tasks) -> Dict[tuple, float]:
-        models = [model for _, model in tasks]
-        outcomes = solve_outcomes(self.engine, models, log=self.log,
-                                  chain_cache=self._chains)
-        merged: Dict[tuple, float] = {}
-        for (key, _), outcome in zip(tasks, outcomes):
-            if isinstance(outcome, TierResult):
-                merged[key] = outcome.unavailability
-        return merged

@@ -2,11 +2,14 @@
 
 Given one :class:`~repro.batch.chains.ChainTemplate` and a ``(4, K)``
 rate matrix (one column per group member), this module assembles the
-``K`` transposed-generator systems as a single ``(K, size, size)``
-array and solves them in one LAPACK gesv call via numpy's stacked
-``np.linalg.solve``.
+``K`` transposed-generator systems as ``(K, size, size)`` arrays and
+solves them in stacked LAPACK gesv calls via numpy's
+``np.linalg.solve``, each call holding at most :data:`STACK_BYTES` of
+systems.
 
-Bit-identity with the scalar path is engineered, not hoped for:
+Bit-identity with the DFS chain builder of
+:mod:`repro.availability.markov` (the scalar path, kept as the tests'
+reference) is engineered, not hoped for:
 
 * every off-diagonal cell is written by exactly one edge, so a single
   fancy-index assignment reproduces the scalar ``matrix[o, t] += rate``
@@ -31,8 +34,16 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import current as _obs_current
 from ..units import HOURS_PER_YEAR
 from .chains import KIND_FAILURE, KIND_SPARE, ChainTemplate
+
+#: Byte budget of the stacked systems one LAPACK call may hold.  A
+#: size class larger than this is solved in consecutive slices; LU
+#: factorizes every slice independently, so where the stack is cut
+#: cannot change any value -- it only bounds peak memory (a 1001-state
+#: chain is 8 MB on its own).
+STACK_BYTES = 8 * 1024 * 1024
 
 
 def _assemble_into(template: ChainTemplate, rates: np.ndarray,
@@ -66,38 +77,45 @@ def assemble_systems(template: ChainTemplate,
 
 def solve_size_class(groups: Sequence[Tuple[ChainTemplate, np.ndarray]]) \
         -> List[np.ndarray]:
-    """Solve several same-size shape groups in ONE stacked LAPACK call.
+    """Solve several same-size shape groups in stacked LAPACK calls.
 
     ``np.linalg.solve`` over a ``(K, n, n)`` stack factorizes each
     slice independently, so concatenating groups that share a matrix
     size changes nothing per member while amortizing the gufunc
-    dispatch across every group in the class.  Returns per-group
-    ``(K_g, size)`` probability arrays in input order.
+    dispatch across every group in the class.  The stack is cut into
+    calls of at most :data:`STACK_BYTES` of systems (at least one
+    member each).  Returns per-group ``(K_g, size)`` probability
+    arrays in input order.
 
     Raises :class:`numpy.linalg.LinAlgError` when any member is
     singular or degenerate; the caller retries per group, then falls
-    back to scalar solves (which reproduce the scalar least-squares /
+    back to DFS solves (which reproduce the least-squares /
     EvaluationError behavior exactly).
     """
     size = groups[0][0].size
     counts = [rates.shape[1] for _, rates in groups]
     total_members = sum(counts)
-    systems = np.zeros((total_members, size, size))
-    start = 0
-    for (template, rates), count in zip(groups, counts):
-        _assemble_into(template, rates, systems[start:start + count])
-        start += count
-    rhs = np.zeros((total_members, size))
-    rhs[:, size - 1] = 1.0
-    # numpy >= 2 treats a 2-D rhs as one matrix; lift to column vectors.
-    solution = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    clipped = np.clip(solution, 0.0, None)
+    per_call = max(1, STACK_BYTES // (size * size * 8))
+    # Each group's members in runs of at most ``per_call``, packed in
+    # order into calls that stay within the budget.
+    calls: List[list] = [[]]
+    room = per_call
+    for template, rates in groups:
+        for first in range(0, rates.shape[1], per_call):
+            run = rates[:, first:first + per_call]
+            if run.shape[1] > room:
+                calls.append([])
+                room = per_call
+            calls[-1].append((template, run))
+            room -= run.shape[1]
+    solved = [_solve_call(call, size) for call in calls]
+    clipped = solved[0] if len(solved) == 1 else np.concatenate(solved)
     for k in range(total_members):
         row = clipped[k]
         total = row.sum()
         if total <= 0:
-            # Degenerate chain: re-solved per member via the scalar
-            # path, which raises the exact scalar EvaluationError.
+            # Degenerate chain: re-solved per member by the DFS chain
+            # builder, which raises the exact EvaluationError.
             raise np.linalg.LinAlgError(
                 "stacked solve produced a zero vector")
         row /= total
@@ -107,6 +125,26 @@ def solve_size_class(groups: Sequence[Tuple[ChainTemplate, np.ndarray]]) \
         out.append(clipped[start:start + count])
         start += count
     return out
+
+
+def _solve_call(call: Sequence[Tuple[ChainTemplate, np.ndarray]],
+                size: int) -> np.ndarray:
+    """Assemble and solve one stacked LAPACK call; clipped ``(K, size)``."""
+    members = sum(rates.shape[1] for _, rates in call)
+    systems = np.zeros((members, size, size))
+    start = 0
+    for template, rates in call:
+        count = rates.shape[1]
+        _assemble_into(template, rates, systems[start:start + count])
+        start += count
+    rhs = np.zeros((members, size))
+    rhs[:, size - 1] = 1.0
+    obs = _obs_current()
+    if obs.enabled:
+        obs.inc("batch.lapack_calls")
+    # numpy >= 2 treats a 2-D rhs as one matrix; lift to column vectors.
+    solution = np.linalg.solve(systems, rhs[..., None])[..., 0]
+    return np.clip(solution, 0.0, None)
 
 
 def solve_stacked(template: ChainTemplate,

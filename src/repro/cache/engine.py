@@ -22,11 +22,11 @@ Soundness rules (who gets a cache identity):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from ..availability import (AnalyticEngine, AvailabilityEngine,
                             MarkovEngine, SimulationEngine,
-                            TierAvailabilityModel, TierResult)
+                            TierAvailabilityModel, TierOutcome, TierResult)
 from .store import TierEvaluationStore
 
 
@@ -74,6 +74,30 @@ class CachedEngine(AvailabilityEngine):
         result = self.inner.evaluate_tier(model)
         self.store.put(self.cache_id, model, result)
         return result
+
+    def evaluate_tiers(self, models: Sequence[TierAvailabilityModel],
+                       chain_cache: Optional[dict] = None,
+                       log=None) -> List[TierOutcome]:
+        """One ``get`` per model, one inner call for the misses, one
+        ``put`` per fresh result -- the lookup and write counts of
+        per-model :meth:`evaluate_tier` calls, with the misses solved
+        as one wavefront."""
+        outcomes: List[Optional[TierOutcome]] = []
+        misses: List[int] = []
+        for model in models:
+            cached = self.store.get(self.cache_id, model)
+            if cached is None:
+                misses.append(len(outcomes))
+            outcomes.append(cached)
+        if misses:
+            fresh = self.inner.evaluate_tiers(
+                [models[index] for index in misses],
+                chain_cache=chain_cache, log=log)
+            for index, outcome in zip(misses, fresh):
+                outcomes[index] = outcome
+                if isinstance(outcome, TierResult):
+                    self.store.put(self.cache_id, models[index], outcome)
+        return outcomes  # type: ignore[return-value]
 
     def cache_probe(self, model: TierAvailabilityModel) \
             -> Optional[TierResult]:

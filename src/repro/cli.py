@@ -468,7 +468,7 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
                              "processes (same design as a serial run, "
                              "guaranteed), N=1 supervises in-process; "
                              "default: the REPRO_JOBS environment "
-                             "variable, else the legacy serial path")
+                             "variable, else unsupervised in-process")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-candidate wall-clock budget; a "
@@ -491,17 +491,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
                         metavar="N",
                         help="bound concurrent repairs per tier "
                              "(default: unlimited)")
-    parser.add_argument("--prune-dominated", dest="prune",
-                        action="store_const", const="auto", default="auto",
-                        help="skip candidates a static dominance "
-                             "certificate proves infeasible (default: on "
-                             "for the deterministic markov/analytic "
-                             "engines, off otherwise; the designed "
-                             "outcome is identical either way)")
-    parser.add_argument("--no-prune", dest="prune",
-                        action="store_const", const=False,
-                        help="disable dominance pruning and evaluate "
-                             "every candidate")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="persist tier availability solves in DIR "
                              "and serve repeats from it; safe to share "
@@ -514,18 +503,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
                              "of cache hits after the search and "
                              "quarantine the whole store on any "
                              "divergence (AVD604)")
-    parser.add_argument("--batch", dest="batch", action="store_const",
-                        const=True, default=None,
-                        help="solve each search wavefront as stacked "
-                             "linear systems in one vectorized pass "
-                             "instead of one candidate at a time; the "
-                             "designed system is bit-identical either "
-                             "way (default: the REPRO_BATCH "
-                             "environment variable, else off)")
-    parser.add_argument("--no-batch", dest="batch", action="store_const",
-                        const=False,
-                        help="force the scalar per-candidate solve "
-                             "path even when REPRO_BATCH is set")
 
 
 def load_models(args, validate: bool = True) -> tuple:
@@ -637,30 +614,6 @@ def resolve_cache(args) -> tuple:
     return cache, verify
 
 
-def resolve_batch(args) -> bool:
-    """``--batch``, falling back to the ``REPRO_BATCH`` env variable.
-
-    Like ``REPRO_JOBS`` / ``REPRO_CACHE``, the env fallback lets a CI
-    leg (or a user shell) push an entire existing CLI workflow through
-    the vectorized batch core without editing any invocation -- safe
-    because a batched search designs the bit-identical system.
-    Accepted truthy values: ``1``, ``true``, ``yes``, ``on`` (and
-    their falsy complements); ``--no-batch`` always wins.
-    """
-    batch = getattr(args, "batch", None)
-    if batch is not None:
-        return bool(batch)
-    env = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if not env:
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise AvedError("REPRO_BATCH must be a boolean (1/0/true/false), "
-                    "got %r" % env)
-
-
 def make_checkpoint(args):
     """Build (or resume) the search checkpoint requested by the CLI."""
     path = getattr(args, "checkpoint", None)
@@ -748,10 +701,8 @@ def cmd_design(args, out) -> int:
                   checkpoint=make_checkpoint(args),
                   jobs=jobs,
                   task_timeout=args.task_timeout,
-                  prune=args.prune,
                   cache=cache,
-                  cache_verify=cache_verify,
-                  batch=resolve_batch(args))
+                  cache_verify=cache_verify)
     observe = bool(args.trace or args.metrics_out)
     observer = Observer() if observe else None
     try:
@@ -792,10 +743,8 @@ def cmd_profile(args, out) -> int:
                   repair_crew=args.repair_crew,
                   jobs=jobs,
                   task_timeout=args.task_timeout,
-                  prune=args.prune,
                   cache=cache,
-                  cache_verify=cache_verify,
-                  batch=resolve_batch(args))
+                  cache_verify=cache_verify)
     observer = Observer()
     outcome = None
     infeasible = None
@@ -854,14 +803,7 @@ def cmd_frontier(args, out) -> int:
         runtime = make_runtime(evaluator.engine, jobs,
                                task_timeout=args.task_timeout,
                                seed=getattr(args, "seed", 1))
-    batcher = None
-    if resolve_batch(args):
-        from .batch import TierBatcher, batch_target
-        target = batch_target(evaluator.engine)
-        if target is not None:
-            batcher = TierBatcher(target)
-    search = TierSearch(evaluator, make_limits(args), runtime=runtime,
-                        batcher=batcher)
+    search = TierSearch(evaluator, make_limits(args), runtime=runtime)
     try:
         with _interruptible(runtime is not None):
             frontier = search.tier_frontier(args.tier, args.load)
@@ -958,10 +900,8 @@ def cmd_analyze(args, out) -> int:
                   repair_crew=args.repair_crew,
                   jobs=jobs,
                   task_timeout=args.task_timeout,
-                  prune=args.prune,
                   cache=cache,
-                  cache_verify=cache_verify,
-                  batch=resolve_batch(args))
+                  cache_verify=cache_verify)
     requirements = ServiceRequirements(args.load,
                                        Duration.parse(args.downtime))
     try:

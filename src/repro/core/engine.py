@@ -33,20 +33,14 @@ class DesignOutcome:
     got its result -- checkpoint resumption and failed saves
     (``AVD3xx``), parallel-runtime events such as worker crashes,
     quarantines, and pool restarts (``AVD4xx``), cache trouble
-    (``AVD6xx``) and batch-path degradation (``AVD8xx``); None when
-    there was nothing to report.
+    (``AVD6xx``) and stacked solves re-run on the DFS chain builder
+    (``AVD802``/``AVD803``); None when there was nothing to report.
 
     ``metrics`` is the run's :mod:`repro.obs` metrics snapshot (a
     plain nested dict -- counters, gauges, histograms); None unless an
     observer was installed (``repro design --metrics-out``,
     ``repro profile``, or :func:`repro.obs.observing`).  Its
     ``search.*`` counters mirror :attr:`stats` field for field.
-
-    ``pruning`` records what static dominance pruning skipped
-    (``AVD506`` provenance, one diagnostic per pruned enumeration
-    group); None when pruning was off or nothing was pruned.  Kept
-    separate from ``degradation`` on purpose: pruning is a *proof*,
-    not a fault, and must not mark the outcome :attr:`degraded`.
 
     ``cache`` is the tier-evaluation store's per-run counter snapshot
     (hits, misses, writes, corrupt entries quarantined, ...); None
@@ -60,7 +54,6 @@ class DesignOutcome:
     stats: SearchStats
     degradation: Optional[LintReport] = None
     metrics: Optional[Mapping] = None
-    pruning: Optional[LintReport] = None
     cache: Optional[Mapping] = None
 
     @property
@@ -103,10 +96,8 @@ class Aved:
                  jobs: Optional[int] = None,
                  task_timeout: Optional[float] = None,
                  parallel=None,
-                 prune=False,
                  cache=None,
-                 cache_verify: bool = False,
-                 batch: bool = False):
+                 cache_verify: bool = False):
         """``combination`` picks the multi-tier assembly strategy:
         ``"exact"`` (branch-and-bound over the frontier product) or
         ``"greedy"`` (the paper's incremental per-tier tightening).
@@ -121,10 +112,11 @@ class Aved:
         (:mod:`repro.parallel`): ``jobs > 1`` fans availability solves
         out across a worker pool (deterministically -- the resulting
         :class:`DesignOutcome` is identical to a serial run);
-        ``jobs=1`` supervises in-process (timeouts, retry, poison
-        quarantine, no pool); the default None keeps the legacy
-        unsupervised path.  ``task_timeout`` is the per-candidate
-        wall-clock budget in seconds (requires ``jobs``).  A
+        ``jobs=1`` supervises in-process (cancel checks, and retry and
+        poison quarantine for a candidate whose wavefront solve
+        failed; no pool); the default None runs unsupervised.
+        ``task_timeout`` is the per-candidate wall-clock budget in
+        seconds (requires ``jobs``).  A
         pre-built :class:`repro.parallel.ParallelEvaluationRuntime`
         can be injected via ``parallel`` instead (the caller then owns
         its lifecycle); runtimes the engine builds itself are closed
@@ -138,18 +130,6 @@ class Aved:
         None).  Gating reference checks (:func:`validate_pair`) always
         run regardless.
 
-        ``prune`` controls static dominance pruning
-        (:mod:`repro.lint.space`): ``False`` (default) disables it;
-        ``"auto"`` enables it when the availability engine is
-        deterministic and MTTR-monotone (Markov or analytic -- the
-        engines the certificates are sound for) and silently disables
-        it otherwise (simulation noise could make a probe bound
-        unreliable); ``True`` forces it on
-        regardless of engine (the caller vouches for soundness).  A
-        pruned run reaches the same :class:`DesignOutcome` as the
-        unpruned one with fewer availability solves; provenance lands
-        on :attr:`DesignOutcome.pruning`.
-
         ``cache`` attaches a persistent tier-evaluation store
         (:mod:`repro.cache`): a directory path or a pre-opened
         :class:`~repro.cache.TierEvaluationStore`.  Deterministic
@@ -160,22 +140,11 @@ class Aved:
         cache hits after the search and quarantines the whole store on
         any divergence (``AVD604``) -- the paranoid mode for stores on
         untrusted media.
-
-        ``batch`` routes each prefetch wavefront through the
-        vectorized stacked tier solver (:mod:`repro.batch`) instead of
-        N independent scalar solves; the resulting
-        :class:`DesignOutcome` is bit-identical (see
-        ``docs/BATCHING.md``).  Only the pure Markov engine (bare or
-        cached) supports batching; any other engine degrades
-        gracefully to the scalar path and reports ``AVD801``.
         """
         validate_pair(infrastructure, service)
         if combination not in ("exact", "greedy"):
             raise SearchError("combination must be 'exact' or 'greedy', "
                               "got %r" % combination)
-        if prune not in (False, True, "auto"):
-            raise SearchError("prune must be False, True, or 'auto', "
-                              "got %r" % (prune,))
         if lint not in ("off", "warn", "error"):
             raise SearchError("lint must be 'off', 'warn', or 'error', "
                               "got %r" % lint)
@@ -198,7 +167,6 @@ class Aved:
         self.limits = limits or SearchLimits()
         self.combination = combination
         self.checkpoint = checkpoint
-        self.prune = prune
         self.evaluator = DesignEvaluator(
             infrastructure, service,
             availability_engine if availability_engine is not None
@@ -224,25 +192,6 @@ class Aved:
             self.parallel = make_runtime(self.evaluator.engine, jobs,
                                          task_timeout=task_timeout)
             self._owns_runtime = True
-        # Batching is resolved AFTER cache attachment so the batcher
-        # sees the cache-wrapped engine and keeps warm-path lookup
-        # counts identical to the scalar path.
-        self.batcher = None
-        self._batch_log = None
-        if batch:
-            from ..batch import TierBatcher, batch_target
-            from ..resilience.events import (BATCH_UNSUPPORTED,
-                                             DegradationLog)
-            self._batch_log = DegradationLog()
-            target = batch_target(self.evaluator.engine)
-            if target is None:
-                self._batch_log.add(
-                    BATCH_UNSUPPORTED,
-                    engine=type(self.evaluator.engine).__name__,
-                    detail="engine does not support vectorized batch "
-                           "solves; searching on the scalar path")
-            else:
-                self.batcher = TierBatcher(target, log=self._batch_log)
 
     # ------------------------------------------------------------------
 
@@ -277,17 +226,16 @@ class Aved:
         raise SearchError("unsupported requirements type %r"
                           % type(requirements).__name__)
 
-    def _degradation_report(self) -> Optional[LintReport]:
+    def _degradation_report(self, search) -> Optional[LintReport]:
         """Collect the runtime's record of this run.
 
-        Drains the batch, parallel-runtime, cache and checkpoint logs
-        and notes checkpoint resumption.  Returns None when none of
-        them has anything to report, so plain runs stay report-free.
+        Drains the search's solver log and the parallel-runtime, cache
+        and checkpoint logs, and notes checkpoint resumption.  Returns
+        None when none of them has anything to report, so plain runs
+        stay report-free.
         """
         report = LintReport()
-        if self._batch_log is not None:
-            report.extend(self._batch_log.to_lint_report())
-            self._batch_log.clear()
+        report.extend(search.log.to_lint_report())
         if self.parallel is not None:
             report.extend(self.parallel.drain_log().to_lint_report())
         if self.cache_store is not None:
@@ -307,37 +255,6 @@ class Aved:
                    len(self.checkpoint.completed_tiers))))
         return report if len(report) else None
 
-    def _prune_enabled(self) -> bool:
-        """Resolve the ``prune`` setting against the active engine.
-
-        The dominance lemma holds for deterministic, MTTR-monotone
-        engines; ``"auto"`` therefore enables pruning only for the
-        Markov and analytic engines, never for simulation (seeded
-        noise breaks the probe bound).
-        """
-        if self.prune is True:
-            return True
-        if self.prune == "auto":
-            from ..availability import AnalyticEngine
-            from ..cache import CachedEngine
-            engine = self.evaluator.engine
-            if isinstance(engine, CachedEngine):
-                engine = engine.inner   # caching preserves determinism
-            return isinstance(engine, (MarkovEngine, AnalyticEngine))
-        return False
-
-    @staticmethod
-    def _pruning_report(search) -> Optional[LintReport]:
-        """AVD506 provenance for everything the search pruned."""
-        regions = getattr(search, "pruned_regions", None)
-        if not regions:
-            return None
-        report = LintReport()
-        for region in regions:
-            report.add(Diagnostic.new("AVD506", region.describe(),
-                                      context="dominance pruning"))
-        return report
-
     def _outcome(self, design: Design, evaluation: DesignEvaluation,
                  search) -> DesignOutcome:
         """Assemble the outcome: degradation report + metrics snapshot.
@@ -349,7 +266,7 @@ class Aved:
         """
         stats = search.stats
         self._verify_cache()
-        degradation = self._degradation_report()
+        degradation = self._degradation_report(search)
         metrics = None
         obs = _obs_current()
         if obs.enabled:
@@ -359,7 +276,6 @@ class Aved:
                  if self.cache_store is not None else None)
         return DesignOutcome(design, evaluation, stats,
                              degradation=degradation, metrics=metrics,
-                             pruning=self._pruning_report(search),
                              cache=cache)
 
     def _verify_cache(self) -> None:
@@ -381,9 +297,7 @@ class Aved:
             -> DesignOutcome:
         search = TierSearch(self.evaluator, self.limits,
                             checkpoint=self.checkpoint,
-                            runtime=self.parallel,
-                            prune=self._prune_enabled(),
-                            batcher=self.batcher)
+                            runtime=self.parallel)
         tier_names = [tier.name for tier in self.service.tiers]
 
         if len(tier_names) == 1:
@@ -395,18 +309,11 @@ class Aved:
                     "no design meets %s" % requirements.describe())
             design = Design((best.design,))
         else:
-            # Per-tier Pareto frontiers, then exact series combination.
-            # Exact combination may statically drop frontier entries
-            # provably above the service target (a tier's downtime
-            # lower-bounds the series downtime); greedy refinement is
-            # path-dependent over the full ladder, so it gets none.
-            dominance_target = (requirements.max_annual_downtime
-                                if self.combination == "exact" else None)
+            # Per-tier Pareto frontiers, then series combination.
             frontiers: List = []
             for name in tier_names:
-                frontier = search.tier_frontier(
-                    name, requirements.throughput,
-                    dominance_target=dominance_target)
+                frontier = search.tier_frontier(name,
+                                                requirements.throughput)
                 if not frontier:
                     raise InfeasibleError(
                         "tier %r cannot carry load %g"
@@ -441,8 +348,7 @@ class Aved:
     def _design_job(self, requirements: JobRequirements) -> DesignOutcome:
         search = JobSearch(self.evaluator, self.limits,
                            checkpoint=self.checkpoint,
-                           runtime=self.parallel,
-                           batcher=self.batcher)
+                           runtime=self.parallel)
         evaluation = search.best_design(requirements)
         if evaluation is None:
             raise InfeasibleError(

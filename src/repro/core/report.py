@@ -61,9 +61,6 @@ def outcome_summary(outcome) -> str:
     if getattr(stats, "resumed_evaluations", 0):
         search_line += (", %d solve(s) resumed from checkpoint"
                         % stats.resumed_evaluations)
-    if getattr(stats, "dominance_pruned", 0):
-        search_line += (", %d dominance-pruned via %d probe(s)"
-                        % (stats.dominance_pruned, stats.dominance_probes))
     lines = [evaluation_summary(outcome.evaluation), search_line]
     cache = getattr(outcome, "cache", None)
     if cache is not None:
@@ -74,9 +71,6 @@ def outcome_summary(outcome) -> str:
         if not cache.get("enabled", True):
             cache_line += " (degraded to off)"
         lines.append(cache_line)
-    pruning = getattr(outcome, "pruning", None)
-    if pruning is not None and len(pruning):
-        lines.append("pruning certificates: %s" % pruning.summary())
     degradation = getattr(outcome, "degradation", None)
     if degradation is not None and len(degradation):
         lines.append("degradation: %s" % degradation.summary())

@@ -12,6 +12,13 @@ design at the next resource count costs more than the incumbent, or --
 if nothing feasible has been found -- when availability degrades as
 resources are added (then no feasible design exists in that direction).
 
+Availability is solved one resource total at a time: every uncached
+candidate structure of the total that clears the incumbent's cost is
+handed to the engine as one *wavefront*
+(:meth:`repro.availability.AvailabilityEngine.evaluate_tiers`), and
+the serial decision loop then reads the results from the search's
+memo (see ``docs/BATCHING.md``).
+
 Two searches are provided:
 
 * :class:`TierSearch` for enterprise tiers (throughput + downtime);
@@ -32,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..availability import TierResult
 from ..errors import SearchError
 from ..model import JobRequirements, MechanismConfig, ResourceOption
 from ..obs import current as _obs_current
@@ -81,6 +89,9 @@ class SearchStats:
     structures_enumerated: int = 0
     availability_evaluations: int = 0
     cost_pruned: int = 0
+    #: Reads of a solve the search already had: solved by an earlier
+    #: wavefront, read before, or carried over from a checkpoint.  The
+    #: first read of a fresh wavefront solve is not a hit.
     cache_hits: int = 0
     job_time_evaluations: int = 0
     #: Availability solves carried over from a resumed checkpoint.
@@ -89,61 +100,13 @@ class SearchStats:
     resumed_frontiers: int = 0
     #: Candidates skipped because the parallel runtime quarantined them.
     quarantined: int = 0
-    #: Prefetch batches dispatched to the parallel runtime.
+    #: Wavefronts dispatched to the parallel runtime's worker pool.
     parallel_batches: int = 0
-    #: Candidate wavefronts routed through the vectorized batch solver.
+    #: Candidate wavefronts solved (in process or across the pool).
     batched_wavefronts: int = 0
-    #: Tier evaluations solved through the vectorized batch solver.
+    #: Tier evaluations submitted in wavefronts, however each was
+    #: served (solved, or read from a persistent cache).
     batched_solves: int = 0
-    #: Candidates skipped because a static dominance certificate proved
-    #: them no better than a probe that already missed the target.
-    dominance_pruned: int = 0
-    #: Probe solves spent establishing dominance-based skips.
-    dominance_probes: int = 0
-    #: Enumeration groups in which a probe's infeasibility pruned the
-    #: dominated members.
-    dominance_groups_pruned: int = 0
-
-
-@dataclass(frozen=True)
-class PrunedRegion:
-    """Provenance of one dominance-pruned enumeration group (AVD506).
-
-    Records exactly why a set of candidates was skipped without an
-    availability solve: the ``probe`` (the group's provably-best
-    mechanism combo) was evaluated, missed ``target_minutes``, and the
-    ``lemma`` named here guarantees every combo in ``pruned`` is at
-    least as bad.  Surfaced on
-    :class:`repro.core.engine.DesignOutcome` as a lint report.
-    """
-
-    tier: str
-    resource: str
-    n_active: int
-    n_spare: int
-    spare_active_prefix: Tuple[str, ...]
-    probe: str
-    probe_downtime_minutes: float
-    target_minutes: float
-    pruned: Tuple[str, ...]
-    lemma: str
-
-    def describe(self) -> str:
-        return ("%s/%s n=%d s=%d: probe %s at %.3f min/yr (> %.3f) "
-                "prunes %d combo(s) [%s]"
-                % (self.tier, self.resource, self.n_active, self.n_spare,
-                   self.probe, self.probe_downtime_minutes,
-                   self.target_minutes, len(self.pruned), self.lemma))
-
-
-#: Slack added to the downtime target before a probe's infeasibility is
-#: allowed to prune its group: guards engine-level float noise around
-#: the mathematical bound downtime(member) >= downtime(probe).
-_PRUNE_MARGIN_MINUTES = 1e-6
-
-
-def _describe_combo(configs: Sequence[MechanismConfig]) -> str:
-    return " + ".join(config.describe() for config in configs) or "(none)"
 
 
 class _TierSearchBase:
@@ -156,45 +119,34 @@ class _TierSearchBase:
     re-paying for them.
 
     ``runtime`` (a
-    :class:`repro.parallel.ParallelEvaluationRuntime`) routes
-    availability solves through supervised evaluation: with more than
-    one job, each resource total's candidate structures are prefetched
-    as a batch across the worker pool before the (unchanged, serial)
-    decision logic consumes them from the cache -- which is why
-    ``jobs=N`` reaches bit-identical designs to ``jobs=1``.
-    Candidates the runtime quarantines evaluate to None and are
-    skipped.  Without a runtime the legacy in-process path is used,
-    byte for byte.
+    :class:`repro.parallel.ParallelEvaluationRuntime`) supervises
+    evaluation: with more than one job, each wavefront is fanned out
+    across the worker pool in shape chunks; otherwise it is solved in
+    process.  Either way the (unchanged, serial) decision logic
+    consumes the results from the memo -- which is why ``jobs=N``
+    reaches bit-identical designs to ``jobs=1``.  The runtime's cancel
+    check runs before each wavefront.  Candidates the runtime
+    quarantines evaluate to None and are skipped.
+
+    :attr:`log` collects the engine's ``AVD802``/``AVD803`` events
+    (stacked solves that fell back to the DFS chain builder).
     """
 
     def __init__(self, evaluator: DesignEvaluator,
                  limits: Optional[SearchLimits] = None,
-                 checkpoint=None, runtime=None, prune: bool = False,
-                 batcher=None):
-        """``prune`` enables static dominance pruning (TierSearch only):
-        candidates a :class:`repro.lint.space.PruningCertificate` proves
-        no better than an already-infeasible probe are skipped without
-        an availability solve.  Sound only for deterministic,
-        MTTR-monotone engines (Markov, analytic); callers gate it
-        (see :class:`repro.core.engine.Aved`).  Off by default.
-
-        ``batcher`` (a :class:`repro.batch.TierBatcher`, optional)
-        routes each prefetch wavefront through the vectorized stacked
-        solver instead of N scalar solves; results are bit-identical
-        (see ``docs/BATCHING.md``), so enabling it never changes the
-        designed outcome.  Callers gate it on engine support
-        (:func:`repro.batch.batch_target`)."""
+                 checkpoint=None, runtime=None):
+        from ..resilience.events import DegradationLog
         self.evaluator = evaluator
         self.limits = limits or SearchLimits()
         self.stats = SearchStats()
         self.checkpoint = checkpoint
         self.runtime = runtime
-        self.batcher = batcher
-        self.prune = bool(prune)
-        #: AVD506 provenance, one entry per pruned enumeration group.
-        self.pruned_regions: List[PrunedRegion] = []
-        self._certificates: Dict[Tuple[str, str], object] = {}
+        self.log = DegradationLog()
         self._availability_cache: Dict[tuple, float] = {}
+        #: Keys a wavefront solved that no decision loop has read yet.
+        self._unread: set = set()
+        #: Per-search memo of solved chains: (shape, rates) -> (u, f).
+        self._chains: dict = {}
         if checkpoint is not None:
             self.stats.resumed_evaluations = checkpoint.seed_cache(
                 self._availability_cache)
@@ -242,7 +194,10 @@ class _TierSearchBase:
         """Unavailability of one structure, or None if quarantined."""
         key = self._structure_key(tier_design, load)
         if key in self._availability_cache:
-            self.stats.cache_hits += 1
+            if key in self._unread:
+                self._unread.discard(key)
+            else:
+                self.stats.cache_hits += 1
             return self._availability_cache[key]
         obs = _obs_current()
         if obs.enabled:
@@ -283,29 +238,23 @@ class _TierSearchBase:
     def _prefetch_structures(self, designs: Sequence[TierDesign],
                              load: Optional[float],
                              cost_cap: float) -> None:
-        """Batch-solve the structures serial evaluation is about to need.
+        """Solve the structures the decision loop is about to need as
+        one wavefront.
 
-        Active when the runtime fans out (``jobs>1``), when a batcher
-        is attached (``--batch``), or both: every not-yet-cached,
-        not-quarantined structure whose cost clears ``cost_cap`` is
-        solved as one wavefront -- dispatched across the pool,
-        vectorized through the stacked solver, or pool-dispatched in
-        shape-grouped chunks that the workers vectorize -- and merged
-        into the availability cache, so the serial decision loop that
-        follows finds pure cache hits.  ``cost_cap`` is the incumbent
-        cost at batch start; since the incumbent only improves, the
-        prefetched set is always a superset of what the serial loop
-        would have evaluated lazily -- speculative work, never missing
-        work.  Batched members whose solve errors are omitted from the
-        merge; if the decision loop actually reaches one it re-solves
-        (and re-raises) through the scalar path, preserving lazy error
-        semantics.
+        Every not-yet-cached, not-quarantined structure whose cost
+        clears ``cost_cap`` is solved -- across the worker pool in
+        shape chunks when the runtime fans out, otherwise in process
+        through the engine's ``evaluate_tiers`` -- and merged into the
+        memo, so the serial decision loop that follows finds it there.
+        ``cost_cap`` is the incumbent cost at wavefront start; since
+        the incumbent only improves, the wavefront is always a
+        superset of what a lazy loop would have evaluated --
+        speculative work, never missing work.  Members whose solve
+        errors are left out of the merge; if the decision loop
+        actually reaches one, it is re-solved (and re-raises) alone,
+        which keeps lazy error semantics.
         """
         runtime = self.runtime
-        parallel = runtime is not None and runtime.parallel
-        batcher = self.batcher
-        if not parallel and batcher is None:
-            return
         tasks = []
         seen = set()
         for design in designs:
@@ -320,17 +269,34 @@ class _TierSearchBase:
             tasks.append((key, self.evaluator.tier_model(design, load)))
         if not tasks:
             return
-        if parallel:
+        if runtime is not None:
+            runtime.check_cancel()
+        obs = _obs_current()
+        if obs.enabled:
+            with obs.span("tier-solve", tier=designs[0].tier,
+                          resource=designs[0].resource, load=load,
+                          members=len(tasks)):
+                merged = self._solve_wavefront(tasks)
+        else:
+            merged = self._solve_wavefront(tasks)
+        self.stats.batched_wavefronts += 1
+        self.stats.batched_solves += len(tasks)
+        self.stats.availability_evaluations += len(tasks)
+        self._availability_cache.update(merged)
+        self._unread.update(merged)
+        if self.checkpoint is not None:
+            self.checkpoint.record_batch(merged.items())
+
+    def _solve_wavefront(self, tasks) -> Dict[tuple, float]:
+        """``{key: unavailability}`` for every member solved cleanly."""
+        runtime = self.runtime
+        if runtime is not None and runtime.parallel:
             # With a persistent tier-evaluation store on a plain cached
             # engine, probe it before paying for pool dispatch: warm
-            # entries skip the pool entirely.  Stats bookkeeping stays
-            # cache-state-independent (every task counts as an
-            # evaluation and the batch still counts as a batch), so
-            # cache-off, cold, and warm runs report identical search
-            # statistics -- part of the byte-identical-outcome
-            # contract.
+            # entries skip the pool entirely.
             probe = getattr(self.evaluator.engine, "cache_probe", None)
-            merged = {}
+            merged: Dict[tuple, float] = {}
+            remaining = tasks
             if probe is not None:
                 remaining = []
                 for key, model in tasks:
@@ -339,32 +305,18 @@ class _TierSearchBase:
                         merged[key] = result.unavailability
                     else:
                         remaining.append((key, model))
-                tasks_to_run = remaining
-            else:
-                tasks_to_run = tasks
-            if tasks_to_run:
-                grouper = None
-                if batcher is not None:
-                    from ..batch import transport_shape_key
-                    grouper = transport_shape_key
-                merged.update(runtime.evaluate_batch(tasks_to_run,
-                                                     grouper=grouper))
+            if remaining:
+                from ..batch import transport_shape_key
+                merged.update(runtime.evaluate_batch(
+                    remaining, grouper=transport_shape_key))
             self.stats.parallel_batches += 1
-            if batcher is not None:
-                self.stats.batched_wavefronts += 1
-                self.stats.batched_solves += len(tasks_to_run)
-        else:
-            # Serial batched path.  No cache_probe pre-loop here: the
-            # batcher's solve_outcomes consults the store itself (one
-            # get per model, the same count the scalar warm path
-            # performs), so probing first would double every lookup.
-            merged = batcher.solve_tasks(tasks)
-            self.stats.batched_wavefronts += 1
-            self.stats.batched_solves += len(tasks)
-        self.stats.availability_evaluations += len(tasks)
-        self._availability_cache.update(merged)
-        if self.checkpoint is not None:
-            self.checkpoint.record_batch(merged.items())
+            return merged
+        outcomes = self.evaluator.engine.evaluate_tiers(
+            [model for _, model in tasks], chain_cache=self._chains,
+            log=self.log)
+        return {key: outcome.unavailability
+                for (key, _), outcome in zip(tasks, outcomes)
+                if isinstance(outcome, TierResult)}
 
     @staticmethod
     def _structure_key(tier_design: TierDesign,
@@ -421,7 +373,7 @@ class _TierSearchBase:
 
         The single source of the (split x spare-prefix x mechanism)
         enumeration order; both the serial decision loops and the
-        parallel prefetch iterate it, which keeps them aligned.
+        wavefront prefetch iterate it, which keeps them aligned.
         """
         for n_active, n_spare in self._splits(option, n_min, total):
             for prefix in self._spare_prefixes(option.resource, n_spare):
@@ -451,35 +403,23 @@ class TierSearch(_TierSearchBase):
 
     def enumerate_candidates(self, tier_name: str, load: float,
                              max_downtime: Optional[Duration] = None,
-                             prune_cost_above: float = math.inf,
-                             dominance_target: Optional[Duration] = None) \
+                             prune_cost_above: float = math.inf) \
             -> Iterator[EvaluatedTierDesign]:
         """Yield evaluated designs for one tier, cheapest totals first.
 
         When ``max_downtime`` is given the paper's termination rules
         apply; otherwise the enumeration is bounded only by
         ``max_redundancy`` (used for frontier construction).
-
-        ``dominance_target`` feeds *only* the static dominance pruner
-        (no effect unless the search was built with ``prune=True``):
-        candidates provably above that downtime are skipped without a
-        solve, while the paper's termination rules stay untouched.
-        Frontier construction for exact multi-tier combination uses it
-        with the service-level target -- a tier whose own downtime
-        misses the target can never be part of a feasible series
-        combination, so dropping it cannot change the optimum.
         """
         tier = self.evaluator.service.tier(tier_name)
         for option in tier.options:
             yield from self._enumerate_option(tier_name, option, load,
                                               max_downtime,
-                                              prune_cost_above,
-                                              dominance_target)
+                                              prune_cost_above)
 
     def _enumerate_option(self, tier_name: str, option: ResourceOption,
                           load: float, max_downtime: Optional[Duration],
-                          prune_cost_above: float,
-                          dominance_target: Optional[Duration] = None) \
+                          prune_cost_above: float) \
             -> Iterator[EvaluatedTierDesign]:
         n_min = option.min_active_for(load)
         if n_min is None:
@@ -492,19 +432,6 @@ class TierSearch(_TierSearchBase):
         degradations = 0
         target_minutes = (max_downtime.as_minutes
                           if max_downtime is not None else None)
-        prune_target = target_minutes
-        if prune_target is None and dominance_target is not None:
-            prune_target = dominance_target.as_minutes
-        certificate = None
-        # Pruning also requires an infinite starting cost cap: with a
-        # finite one, a cost-pruned probe could leave the degradation
-        # termination rule blind to downtimes the unpruned enumeration
-        # would have seen (the probe-first argument needs the probe to
-        # actually be solved whenever no incumbent exists yet).
-        if self.prune and prune_target is not None \
-                and math.isinf(prune_cost_above):
-            certificate = self._pruning_certificate(tier_name, option,
-                                                    structural)
 
         for extra in range(self.limits.max_redundancy + 1):
             total = n_min + extra
@@ -515,19 +442,10 @@ class TierSearch(_TierSearchBase):
                     break
             designs = list(self._structures_for_total(
                 tier_name, option, structural, n_min, total))
-            skip: frozenset = frozenset()
-            if certificate is not None:
-                skip = self._dominance_skips(designs, certificate, load,
-                                             prune_target, best_cost)
-            self._prefetch_structures(
-                [design for index, design in enumerate(designs)
-                 if index not in skip], load, best_cost)
+            self._prefetch_structures(designs, load, best_cost)
             best_downtime_this_total = math.inf
-            for index, design in enumerate(designs):
+            for design in designs:
                 self.stats.structures_enumerated += 1
-                if index in skip:
-                    self.stats.dominance_pruned += 1
-                    continue
                 cost = self.evaluator.tier_cost(design).total
                 if cost >= best_cost:
                     self.stats.cost_pruned += 1
@@ -555,85 +473,6 @@ class TierSearch(_TierSearchBase):
                 previous_best_downtime = min(previous_best_downtime,
                                              best_downtime_this_total)
 
-    # -- static dominance pruning --------------------------------------
-
-    def _pruning_certificate(self, tier_name: str, option: ResourceOption,
-                             structural: Sequence[str]):
-        """Build (once per tier/resource) the dominance certificate.
-
-        The prover receives this search's own mechanism combos and
-        spare prefixes, so the certificate is aligned with -- and
-        verified against -- the exact enumeration order, including any
-        ``fixed_settings`` pins.
-        """
-        key = (tier_name, option.resource)
-        if key not in self._certificates:
-            # Late import: repro.core.engine imports repro.lint at
-            # module load, so the reverse edge must stay lazy.
-            from ..lint.space import build_pruning_certificate
-            self._certificates[key] = build_pruning_certificate(
-                self.evaluator, tier_name, option,
-                self._mechanism_combos(structural),
-                self._spare_prefixes(option.resource, 1))
-        return self._certificates[key]
-
-    def _dominance_skips(self, designs: Sequence[TierDesign], certificate,
-                         load: Optional[float], target_minutes: float,
-                         best_cost: float) -> frozenset:
-        """Indices of ``designs`` provably infeasible via the certificate.
-
-        Per enumeration group (a contiguous run of mechanism combos at
-        one split/prefix) the certificate's probe is solved first; if
-        even the probe misses the target, the dominated members cannot
-        meet it either (their downtime is >= the probe's by the
-        certificate's lemma) and are skipped without a solve.  Order
-        safety: skipped members are infeasible, so they can never
-        update the incumbent (``found_feasible``/``best_cost``), and
-        the probe -- always evaluated -- contributes the group's true
-        minimum downtime to the degradation-based termination rule.
-        """
-        skip: set = set()
-        size = certificate.combo_count
-        if size < 2 or len(designs) % size != 0:
-            return frozenset()
-        from ..lint.canonical import combo_key
-        aligned = tuple(combo_key(design.mechanism_configs)
-                        for design in designs[:size])
-        if aligned != certificate.combo_keys:
-            return frozenset()
-        for start in range(0, len(designs), size):
-            anchor = designs[start]
-            group = certificate.group_for(anchor.n_spare > 0,
-                                          anchor.spare_active_prefix)
-            if group is None:
-                continue
-            dominated = [start + offset for offset in group.dominated]
-            if not any(self.evaluator.tier_cost(designs[index]).total
-                       < best_cost for index in dominated):
-                continue  # every skippable member is cost-pruned anyway
-            probe = designs[start + group.least_index]
-            self.stats.dominance_probes += 1
-            unavailability = self._tier_unavailability(probe, load)
-            if unavailability is None:
-                continue  # quarantined: no bound established
-            probe_downtime = unavailability * MINUTES_PER_YEAR
-            if probe_downtime <= target_minutes + _PRUNE_MARGIN_MINUTES:
-                continue  # probe feasible-ish: members must be examined
-            skip.update(dominated)
-            self.stats.dominance_groups_pruned += 1
-            self.pruned_regions.append(PrunedRegion(
-                tier=anchor.tier, resource=anchor.resource,
-                n_active=anchor.n_active, n_spare=anchor.n_spare,
-                spare_active_prefix=anchor.spare_active_prefix,
-                probe=_describe_combo(probe.mechanism_configs),
-                probe_downtime_minutes=probe_downtime,
-                target_minutes=target_minutes,
-                pruned=tuple(
-                    _describe_combo(designs[index].mechanism_configs)
-                    for index in dominated),
-                lemma=group.lemma))
-        return frozenset(skip)
-
     def best_tier_design(self, tier_name: str, load: float,
                          max_downtime: Duration) \
             -> Optional[EvaluatedTierDesign]:
@@ -658,8 +497,7 @@ class TierSearch(_TierSearchBase):
                     best = candidate
         return best
 
-    def tier_frontier(self, tier_name: str, load: float,
-                      dominance_target: Optional[Duration] = None) \
+    def tier_frontier(self, tier_name: str, load: float) \
             -> List[EvaluatedTierDesign]:
         """Pareto frontier (cost vs downtime) for one tier.
 
@@ -668,22 +506,15 @@ class TierSearch(_TierSearchBase):
         within the enumeration bounds.  With a checkpoint attached, a
         frontier this tier completed in a previous (interrupted) run is
         reused verbatim, and a freshly computed one is recorded.
-
-        ``dominance_target`` (with ``prune=True``) statically drops
-        candidates provably above that downtime -- sound for exact
-        series combination against the same target, where such entries
-        can never appear in a feasible combination.
         """
         obs = _obs_current()
         if obs.enabled:
             with obs.span("tier-search", tier=tier_name, load=load,
                           mode="frontier"):
-                return self._tier_frontier(tier_name, load,
-                                           dominance_target)
-        return self._tier_frontier(tier_name, load, dominance_target)
+                return self._tier_frontier(tier_name, load)
+        return self._tier_frontier(tier_name, load)
 
-    def _tier_frontier(self, tier_name: str, load: float,
-                       dominance_target: Optional[Duration] = None) \
+    def _tier_frontier(self, tier_name: str, load: float) \
             -> List[EvaluatedTierDesign]:
         if self.checkpoint is not None:
             stored = self.checkpoint.frontier_for(
@@ -691,15 +522,9 @@ class TierSearch(_TierSearchBase):
             if stored is not None:
                 self.stats.resumed_frontiers += 1
                 return stored
-        pruned_before = self.stats.dominance_pruned
-        candidates = list(self.enumerate_candidates(
-            tier_name, load, dominance_target=dominance_target))
-        frontier = pareto_filter(candidates)
-        # A dominance-pruned frontier is target-specific (entries above
-        # the target are missing), so it must not be recorded where a
-        # later run with different flags would reuse it verbatim.
-        if self.checkpoint is not None \
-                and self.stats.dominance_pruned == pruned_before:
+        frontier = pareto_filter(list(self.enumerate_candidates(
+            tier_name, load)))
+        if self.checkpoint is not None:
             self.checkpoint.store_frontier(tier_name, load, frontier)
         return frontier
 

@@ -108,8 +108,9 @@ CODES: Dict[str, CodeInfo] = {
                        "canonical equivalence classes"),
     "AVD505": CodeInfo(Severity.INFO,
                        "dominance certificate coverage"),
-    "AVD506": CodeInfo(Severity.INFO,
-                       "candidates pruned by dominance certificate"),
+    # Code 506 (candidates pruned by a dominance certificate) is
+    # retired with search-time dominance pruning; its number is not
+    # reused.
     "AVD507": CodeInfo(Severity.ERROR,
                        "contradictory search-space constraints"),
     # -- tier-evaluation store (repro.cache) ------------------------------
@@ -149,10 +150,9 @@ CODES: Dict[str, CodeInfo] = {
     "AVD709": CodeInfo(Severity.WARNING,
                        "watch journal append failed; watcher continuing "
                        "without durability"),
-    # -- vectorized batch solves (repro.batch) ----------------------------
-    "AVD801": CodeInfo(Severity.INFO,
-                       "engine does not support vectorized batch "
-                       "solves; searching on the scalar path"),
+    # -- stacked wavefront solves (repro.batch) ---------------------------
+    # Code 801 (engine does not support batch solves) is retired: every
+    # engine solves wavefronts.  Its number is not reused.
     "AVD802": CodeInfo(Severity.WARNING,
                        "stacked solve hit a singular system; group "
                        "members re-solved on the scalar path"),

@@ -11,9 +11,8 @@ invoked.  Three artifacts come out:
   :mod:`repro.lint.canonical` (the cache-key machinery of ROADMAP
   item 1);
 * **Dominance certificates** -- provable partial orders between
-  mechanism combos (:class:`PruningCertificate`), consumed by
-  :class:`repro.core.search.TierSearch` to skip provably-infeasible
-  candidates (``--prune-dominated``);
+  mechanism combos (:class:`PruningCertificate`), whose coverage the
+  report counts (``AVD505``);
 * **A feasibility report** -- exact cardinality, empty or provably
   unreachable regions given the requirements, redundant dimensions,
   and contradictory fixed settings, as ``AVD5xx`` diagnostics
@@ -29,8 +28,9 @@ contract) lower-bounds the downtime of every combo it dominates: if
 even the probe misses the downtime target, the dominated combos are
 infeasible without being evaluated.  The regime condition guards the
 paper's failover-rule discontinuity (``mttr > failover_time`` flips
-the model structure), and certificates are only applied by the search
-when the active engine is deterministic.
+the model structure).  The search itself does not skip candidates on
+these certificates: solved in stacked wavefronts, the probes would
+cost more than the solves they save.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> lint)
     from ..core.evaluation import DesignEvaluator
     from ..core.search import SearchLimits
 
-#: Lemma identifiers recorded in certificates and AVD506 provenance.
+#: Lemma identifiers recorded in certificates.
 LEMMA_IN_PLACE = "mttr-monotone/in-place"
 LEMMA_SPARES = "mttr-monotone/fixed-failover-regime"
 
@@ -70,18 +70,15 @@ class GroupCertificate:
     search enumerates at one fixed (active/spare split, spare prefix);
     its dominance structure depends only on whether spares exist
     (``spares``) and, when they do, on the activation ``prefix`` -- not
-    on the split itself.  ``combo_keys`` content-addresses the combos
-    in enumeration order (:func:`repro.lint.canonical.combo_key`), so a
-    consumer can verify it is applying the certificate to the
-    enumeration it was derived for.  ``least_index`` is the probe --
-    the combo whose per-mode MTTR vector is pointwise <= every combo
-    in ``dominated``.
+    on the split itself.  ``least_index`` is the probe -- the combo
+    whose per-mode MTTR vector is pointwise <= every combo in
+    ``dominated`` (indices into the owning certificate's
+    ``combo_keys``).
     """
 
     resource: str
     prefix: Tuple[str, ...]
     spares: bool
-    combo_keys: Tuple[str, ...]
     least_index: int
     dominated: Tuple[int, ...]
     lemma: str
@@ -91,9 +88,11 @@ class GroupCertificate:
 class PruningCertificate:
     """All dominance certificates for one (tier, resource option).
 
-    ``groups`` is keyed by ``(spares, prefix)``; spare-less groups all
-    share the key ``(False, ())`` because without spares neither the
-    prefix nor the failover times reach the availability model (see
+    ``combo_keys`` content-addresses the combos in enumeration order
+    (:func:`repro.lint.canonical.combo_key`).  ``groups`` is keyed by
+    ``(spares, prefix)``; spare-less groups all share the key
+    ``(False, ())`` because without spares neither the prefix nor the
+    failover times reach the availability model (see
     :meth:`repro.availability.FailureModeEntry.canonical_fragment`).
     """
 
@@ -109,9 +108,6 @@ class PruningCertificate:
     def group_for(self, spares: bool,
                   prefix: Tuple[str, ...]) -> Optional[GroupCertificate]:
         return self.groups.get((spares, prefix if spares else ()))
-
-    def dominated_total(self) -> int:
-        return sum(len(group.dominated) for group in self.groups.values())
 
 
 def _mttr_resolver(combo: Sequence[MechanismConfig]) \
@@ -162,7 +158,6 @@ def _dominates(a: Sequence[FailureModeEntry], b: Sequence[FailureModeEntry],
 
 
 def _group_certificate(resource: str, prefix: Tuple[str, ...], spares: bool,
-                       combo_keys: Tuple[str, ...],
                        vectors: Sequence[Sequence[FailureModeEntry]]) \
         -> Optional[GroupCertificate]:
     """Pick the probe dominating the most combos; None if none dominates."""
@@ -179,7 +174,7 @@ def _group_certificate(resource: str, prefix: Tuple[str, ...], spares: bool,
         return None
     return GroupCertificate(
         resource=resource, prefix=prefix, spares=spares,
-        combo_keys=combo_keys, least_index=best_index,
+        least_index=best_index,
         dominated=best_dominated,
         lemma=LEMMA_SPARES if spares else LEMMA_IN_PLACE)
 
@@ -192,11 +187,10 @@ def build_pruning_certificate(
         -> Optional[PruningCertificate]:
     """Prove dominance relations for one tier option, statically.
 
-    ``combos`` and ``spare_prefixes`` must come from the consuming
-    search's own enumeration (they honor its ``fixed_settings`` and
-    ``spare_policy``); the certificate's ``combo_keys`` let the search
-    double-check that alignment.  Returns None when the combo
-    dimension is trivial or nothing is provably dominated.
+    ``combos`` and ``spare_prefixes`` must come from the search's own
+    enumeration (they honor its ``fixed_settings`` and
+    ``spare_policy``).  Returns None when the combo dimension is
+    trivial or nothing is provably dominated.
     """
     if len(combos) < 2:
         return None
@@ -207,14 +201,14 @@ def build_pruning_certificate(
     plain_vectors = [_combo_entries(evaluator, resource, (), combo)
                      for combo in combos]
     certificate = _group_certificate(option.resource, (), False,
-                                     combo_keys, plain_vectors)
+                                     plain_vectors)
     if certificate is not None:
         groups[(False, ())] = certificate
     for prefix in spare_prefixes:
         vectors = [_combo_entries(evaluator, resource, prefix, combo)
                    for combo in combos]
         certificate = _group_certificate(option.resource, prefix, True,
-                                         combo_keys, vectors)
+                                         vectors)
         if certificate is not None:
             groups[(True, prefix)] = certificate
     if not groups:
@@ -307,7 +301,7 @@ class SpaceReport:
         return sum(tier.dominance_covered for tier in self.tiers)
 
     def certificates(self) -> Dict[str, Dict[str, PruningCertificate]]:
-        """tier -> resource -> certificate, for search consumption."""
+        """tier -> resource -> certificate."""
         result: Dict[str, Dict[str, PruningCertificate]] = {}
         for tier in self.tiers:
             for option in tier.options:

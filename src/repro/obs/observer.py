@@ -67,7 +67,8 @@ class NullObserver:
     def span(self, name: str, **attributes: Any) -> _NoopSpan:
         return _NOOP_SPAN
 
-    def engine_span(self, engine: str, model: Any) -> _NoopSpan:
+    def engine_span(self, engine: str, model: Any,
+                    members: int = 1) -> _NoopSpan:
         return _NOOP_SPAN
 
     def inc(self, name: str, amount: int = 1) -> None:
@@ -88,16 +89,17 @@ class Observer:
     def span(self, name: str, **attributes: Any):
         return self.tracer.span(name, **attributes)
 
-    def engine_span(self, engine: str, model: Any):
-        """Span + per-engine solve-time histogram for one tier solve.
+    def engine_span(self, engine: str, model: Any, members: int = 1):
+        """Span + per-engine solve-time histogram for one engine call.
 
         ``model`` is a
-        :class:`~repro.availability.TierAvailabilityModel`; its
-        structure parameters become span attributes, and the wall
-        time lands in the ``engine_solve_seconds.<engine>``
-        histogram with a matching ``engine_solves.<engine>`` counter.
+        :class:`~repro.availability.TierAvailabilityModel` (the first
+        of ``members`` models when one call solves a wavefront); its
+        structure parameters become span attributes, the wall time
+        lands in the ``engine_solve_seconds.<engine>`` histogram, and
+        the ``engine_solves.<engine>`` counter grows by ``members``.
         """
-        return _EngineSpan(self, engine, model)
+        return _EngineSpan(self, engine, model, members)
 
     def inc(self, name: str, amount: int = 1) -> None:
         self.metrics.inc(name, amount)
@@ -106,12 +108,15 @@ class Observer:
 class _EngineSpan:
     """Context manager composing a span with a solve-time histogram."""
 
-    __slots__ = ("observer", "engine", "model", "active", "started")
+    __slots__ = ("observer", "engine", "model", "members", "active",
+                 "started")
 
-    def __init__(self, observer: Observer, engine: str, model: Any):
+    def __init__(self, observer: Observer, engine: str, model: Any,
+                 members: int = 1):
         self.observer = observer
         self.engine = engine
         self.model = model
+        self.members = members
 
     def __enter__(self) -> None:
         model = self.model
@@ -119,7 +124,7 @@ class _EngineSpan:
             "engine-solve", engine=self.engine,
             tier=getattr(model, "name", ""),
             n=getattr(model, "n", None), m=getattr(model, "m", None),
-            s=getattr(model, "s", None))
+            s=getattr(model, "s", None), members=self.members)
         self.active.__enter__()
         self.started = time.perf_counter()
 
@@ -127,7 +132,7 @@ class _EngineSpan:
         elapsed = time.perf_counter() - self.started
         metrics = self.observer.metrics
         metrics.observe("engine_solve_seconds.%s" % self.engine, elapsed)
-        metrics.inc("engine_solves.%s" % self.engine)
+        metrics.inc("engine_solves.%s" % self.engine, self.members)
         if exc_type is not None:
             metrics.inc("engine_errors.%s" % self.engine)
         self.active.__exit__(exc_type, exc, tb)

@@ -2,9 +2,9 @@
 
 A :class:`Tracer` records a tree of timed :class:`Span` objects:
 ``design`` at the root, ``tier-search`` under it, ``tier-solve`` per
-candidate structure, ``engine-solve`` per availability engine call,
-``parallel-batch`` per prefetch batch with the worker-side
-``engine-solve`` spans re-parented under it on merge.
+wavefront of candidate structures, ``engine-solve`` per availability
+engine call, ``parallel-batch`` per pooled wavefront with the
+worker-side ``engine-solve`` spans re-parented under it on merge.
 
 Design constraints (see docs/OBSERVABILITY.md):
 

@@ -173,7 +173,7 @@ def _evaluate_candidate(task_id: int, submission: int, model: Any,
 
 def _evaluate_chunk(task_ids: List[int], submissions: List[int],
                     models: List[Any]) -> List[Tuple[Any, ...]]:
-    """Evaluate a shape-grouped chunk through the vectorized solver.
+    """Evaluate a shape-grouped chunk as one ``evaluate_tiers`` call.
 
     Returns one ``(task_id, "ok", value)`` / ``(task_id, "error",
     detail)`` payload per member, in submission order; like
@@ -191,16 +191,8 @@ def _evaluate_chunk(task_ids: List[int], submissions: List[int],
                 os._exit(3)
             elif action == "hang":
                 time.sleep(_WORKER_PLAN.hang_seconds)
-    from ..batch import batch_target, solve_outcomes
-    target = batch_target(_WORKER_ENGINE)
-    if target is None:
-        # Engine replaced/wrapped since the parent checked (or a test
-        # forced chunking): scalar per member, same payloads.
-        return [_evaluate_candidate(task_id, submission, model)
-                for task_id, submission, model
-                in zip(task_ids, submissions, models)]
     try:
-        outcomes = solve_outcomes(target, models)
+        outcomes = _WORKER_ENGINE.evaluate_tiers(models)
     except Exception as exc:
         detail = "%s: %s" % (type(exc).__name__, exc)
         return [(task_id, "error", detail) for task_id in task_ids]
@@ -324,11 +316,12 @@ class SupervisedExecutor:
 
         ``grouper`` (optional, ``model -> hashable``) turns on chunked
         dispatch: tasks sharing a group key are submitted to one worker
-        as a single chunk, which the worker solves through the
-        vectorized batch core (:mod:`repro.batch`) instead of N scalar
-        solves.  Values are bit-identical either way.  Suspect tasks
-        still run isolated (scalar), and traced runs stay unchunked so
-        per-candidate spans keep their exact shape.
+        as a single chunk, which the worker solves with one
+        ``evaluate_tiers`` call (a stacked wavefront on the Markov
+        engine) instead of N ``evaluate_tier`` calls.  Values are
+        bit-identical either way.  Suspect tasks still run isolated,
+        and traced runs stay unchunked so per-candidate spans keep
+        their exact shape.
         """
         states: List[_TaskState] = []
         for key, model in tasks:

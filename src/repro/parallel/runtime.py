@@ -3,12 +3,15 @@
 :class:`ParallelEvaluationRuntime` is what
 :class:`~repro.core.TierSearch` and :class:`~repro.core.JobSearch`
 actually hold.  It narrows the machinery in
-:mod:`repro.parallel.executor` to three operations the search needs:
+:mod:`repro.parallel.executor` to the operations the search needs:
 
-* :meth:`evaluate_candidate` -- one supervised solve, in-process
-  (the ``jobs=1`` path, and cache misses under ``jobs>1``);
-* :meth:`evaluate_batch` -- a prefetch batch fanned out across the
-  pool (``jobs>1``), returned as deterministically merged
+* :meth:`check_cancel` -- the caller's cancel check, run by the
+  search before each wavefront;
+* :meth:`evaluate_candidate` -- one supervised solve, in-process (a
+  candidate the decision loop reaches after its wavefront solve
+  failed);
+* :meth:`evaluate_batch` -- a wavefront fanned out across the pool
+  (``jobs>1``), returned as deterministically merged
   ``(key, unavailability)`` pairs;
 * :meth:`drain_log` -- the accumulated AVD4xx degradation events,
   consumed by :meth:`repro.core.Aved._degradation_report`.
@@ -68,6 +71,15 @@ class ParallelEvaluationRuntime:
 
     # ------------------------------------------------------------------
 
+    def check_cancel(self) -> None:
+        """Run the caller's cancel check; raises to abort the search.
+
+        The search calls this before each wavefront, so a serve
+        deadline, drain or client cancel stops it between solves.
+        """
+        if self.executor.cancel_check is not None:
+            self.executor.cancel_check()
+
     def evaluate_candidate(self, key: tuple,
                            model: Any) -> Optional[float]:
         """One candidate, supervised, in-process.
@@ -89,7 +101,7 @@ class ParallelEvaluationRuntime:
 
         ``grouper`` (``model -> hashable``, optional) enables
         shape-chunked dispatch: same-group tasks travel to one worker
-        as a chunk the worker solves through the vectorized batch core
+        as a chunk the worker solves with one ``evaluate_tiers`` call
         (see :meth:`SupervisedExecutor.run_batch`).
         """
         if not tasks:
@@ -154,8 +166,8 @@ def make_runtime(engine: Any, jobs: Optional[int],
         -> Optional[ParallelEvaluationRuntime]:
     """The constructor convention used by Aved/controller/CLI/serve.
 
-    ``jobs=None`` means "no runtime at all" (the legacy serial path,
-    byte-for-byte unchanged); otherwise a runtime with ``jobs``
+    ``jobs=None`` means "no runtime at all" (wavefronts solved in
+    process, unsupervised); otherwise a runtime with ``jobs``
     workers and an optional per-candidate wall-clock timeout.
     ``cancel_check`` (a zero-arg callable that raises to abort) and
     ``quarantine`` (a shared :class:`PoisonQuarantine`) let a

@@ -10,8 +10,9 @@ skipped outright, so the resumed search reaches the same minimum-cost
 design as an uninterrupted run without re-paying for solves.
 
 The file is written atomically (temp file + fsync + ``os.replace``)
-every ``interval`` newly recorded evaluations and at every frontier
-completion, so a crash never leaves a torn checkpoint.  Each save
+once ``interval`` newly recorded evaluations have accumulated (checked
+after each recorded wavefront) and at every frontier completion, so a
+crash never leaves a torn checkpoint.  Each save
 holds a sidecar lock file (``<path>.lock``, pid-stamped) so two
 writers can never interleave renames on the same path; a lock left
 behind by a killed writer is detected (dead pid) and broken.  Both
@@ -107,34 +108,27 @@ class SearchCheckpoint:
 
     def record_evaluation(self, key: tuple, unavailability: float) \
             -> None:
-        """Record one availability solve; autosaves periodically."""
-        if key in self._cache:
-            return
-        self._cache[key] = unavailability
-        self._pending += 1
-        if self.path is not None and self._pending >= self.interval \
-                and self._pending >= self._retry_at:
-            self._autosave()
+        """Record one availability solve (a batch of one)."""
+        self.record_batch(((key, unavailability),))
 
     def record_batch(self, pairs) -> None:
-        """Record a merged prefetch batch, then save once.
+        """Record a wavefront's solves; autosaves at most once.
 
-        The parallel runtime evaluates candidates in batches; saving
-        per batch (rather than per ``interval`` entries) means a crash
-        mid-search loses at most the batch in flight, and a resumed
-        run -- under *any* ``--jobs`` value -- replays every completed
-        batch as cache hits.
+        Every newly recorded solve counts toward ``interval``.  The
+        batch saves once, and only when ``interval`` unsaved solves
+        have accumulated and the backoff after a failed save has
+        passed -- so a crash loses at most ``interval`` solves plus
+        the wavefront in flight, and a resumed run under *any*
+        ``--jobs`` value replays the rest as cache hits.
         """
-        recorded = 0
         for key, unavailability in pairs:
             if key in self._cache:
                 continue
             self._cache[key] = unavailability
-            recorded += 1
-        if recorded:
-            self._pending += recorded
-            if self.path is not None:
-                self._autosave()
+            self._pending += 1
+        if self.path is not None and self._pending >= self.interval \
+                and self._pending >= self._retry_at:
+            self._autosave()
 
     def store_frontier(self, tier: str, load: float,
                        frontier: List[Any]) -> None:

@@ -43,8 +43,8 @@ WATCH_WARM_START = "watch-warm-start"
 WATCH_COLD_SEARCH = "watch-cold-search"
 WATCH_RESUMED = "watch-resumed"
 WATCH_JOURNAL_FAULT = "watch-journal-fault"
-
-BATCH_UNSUPPORTED = "batch-unsupported"
+#: Stacked wavefront solves (:mod:`repro.batch`) re-run on the DFS
+#: chain builder.
 BATCH_GROUP_FALLBACK = "batch-group-fallback"
 BATCH_MEMBER_DEGRADED = "batch-member-degraded"
 #: Sharded requirement-space map builder (:mod:`repro.grid`) kinds.
@@ -78,7 +78,6 @@ EVENT_CODES: Dict[str, str] = {
     WATCH_COLD_SEARCH: "AVD707",
     WATCH_RESUMED: "AVD708",
     WATCH_JOURNAL_FAULT: "AVD709",
-    BATCH_UNSUPPORTED: "AVD801",
     BATCH_GROUP_FALLBACK: "AVD802",
     BATCH_MEMBER_DEGRADED: "AVD803",
     GRID_SHARD_FAULT: "AVD901",

@@ -28,7 +28,7 @@ Drifted parameters enter evaluation through
 :class:`DriftedEvaluator`, which substitutes observed MTBF/MTTR into
 the generated tier models by mode name (:func:`substitute_modes`) --
 the spec stays declarative and the whole engine stack (caching,
-parallel prefetch) is reused untouched.
+wavefront solves) is reused untouched.
 """
 
 from __future__ import annotations

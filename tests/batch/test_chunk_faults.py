@@ -1,12 +1,11 @@
-"""Process chaos against the *chunked* batch transport.
+"""Process chaos against the *chunked* pool transport.
 
-The scalar chaos suite (tests/integration/test_chaos_design.py)
-proves crashes, hangs and poison candidates degrade gracefully under
-per-candidate dispatch.  These tests re-run that battery with
-batching on, where several candidates share one worker submission: a
-fault inside a chunk must convict only the poison member (suspicion
--> isolation -> quarantine), never its chunk-mates, and the surviving
-search must still produce the fault-free design.
+Every pooled search ships its wavefronts to workers in shape chunks,
+so several candidates share one worker submission: a fault inside a
+chunk must convict only the poison member (suspicion -> isolation ->
+quarantine), never its chunk-mates, and the surviving search must
+still produce the fault-free design.  The end-to-end chaos suite is
+tests/integration/test_chaos_design.py.
 """
 
 import json
@@ -30,14 +29,14 @@ def canonical(outcome):
 
 def supervised_batched(infra, service, worker_plan, jobs=2,
                        task_retries=2, task_timeout=None):
-    """An Aved with batching AND a fault-injecting supervised pool."""
+    """An Aved over a fault-injecting supervised pool."""
     probe = Aved(infra, service)
     runtime = ParallelEvaluationRuntime(
         probe.evaluator.engine, jobs=jobs, worker_plan=worker_plan,
         policy=ParallelPolicy(task_retries=task_retries,
                               task_timeout=task_timeout,
                               backoff=BackoffPolicy(backoff_base=0.0)))
-    return Aved(infra, service, parallel=runtime, batch=True), runtime
+    return Aved(infra, service, parallel=runtime), runtime
 
 
 @pytest.fixture(scope="module")

@@ -1,92 +1,35 @@
-"""The ``--batch`` flag and ``REPRO_BATCH`` environment fallback."""
+"""Wavefront solving is not an option: the retired flags are rejected.
+
+Every search solves its candidates in stacked wavefronts, and
+search-time dominance pruning is gone, so ``--batch``/``--no-batch``
+and ``--prune-dominated``/``--no-prune`` no longer exist; argparse
+rejects them (exit 2) before any search runs.
+"""
 
 import io
 
 import pytest
 
-from repro.cli import main, resolve_batch
-from repro.errors import AvedError
+from repro.cli import main
+
+COMMANDS = {
+    "design": ["design", "--paper-ecommerce", "--app-tier-only",
+               "--load", "1000", "--downtime", "100m"],
+    "profile": ["profile", "--paper-ecommerce", "--app-tier-only",
+                "--load", "1000", "--downtime", "100m"],
+    "frontier": ["frontier", "--paper-ecommerce", "--tier",
+                 "application", "--load", "1000"],
+    "analyze": ["analyze", "--paper-ecommerce", "--app-tier-only",
+                "--load", "1000", "--downtime", "100m"],
+}
 
 
-def run(argv):
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
+@pytest.mark.parametrize("flag", ["--batch", "--no-batch",
+                                  "--prune-dominated", "--no-prune"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_retired_flag_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(COMMANDS[command] + [flag], out=io.StringIO())
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
 
-
-BASE = ["design", "--paper-ecommerce", "--app-tier-only",
-        "--load", "1000", "--downtime", "100m"]
-
-
-class _Args:
-    def __init__(self, batch=None):
-        self.batch = batch
-
-
-class TestResolveBatch:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(_Args()) is False
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert resolve_batch(_Args(batch=True)) is True
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert resolve_batch(_Args(batch=False)) is False
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), ("On", True),
-        ("0", False), ("false", False), ("no", False), ("off", False),
-        ("", False), ("  ", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(_Args()) is expected
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "definitely")
-        with pytest.raises(AvedError, match="REPRO_BATCH"):
-            resolve_batch(_Args())
-
-
-class TestDesignBatchFlag:
-    def test_batch_flag_reproduces_the_design(self):
-        scalar = run(BASE)
-        batched = run(BASE + ["--batch"])
-        assert scalar[0] == 0 and batched[0] == 0
-        # Identical design, cost and downtime lines (the trailing
-        # search-statistics line is allowed to mention batching).
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        scalar = run(BASE + ["--no-batch"])
-        batched = run(BASE)
-        assert scalar[0] == 0 and batched[0] == 0
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-
-    def test_bad_env_value_errors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "definitely")
-        code, output = run(BASE)
-        assert code == 1
-        assert "REPRO_BATCH" in output
-
-    def test_batch_composes_with_jobs_and_cache(self, tmp_path):
-        scalar = run(BASE + ["--jobs", "2"])
-        batched = run(BASE + ["--jobs", "2", "--batch",
-                              "--cache", str(tmp_path / "store")])
-        warm = run(BASE + ["--jobs", "2", "--batch",
-                           "--cache", str(tmp_path / "store")])
-        assert scalar[0] == batched[0] == warm[0] == 0
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-        assert scalar[1].splitlines()[:3] == warm[1].splitlines()[:3]
-
-    def test_frontier_accepts_batch(self):
-        scalar = run(["frontier", "--paper-ecommerce", "--tier",
-                      "application", "--load", "1000",
-                      "--max-redundancy", "4"])
-        batched = run(["frontier", "--paper-ecommerce", "--tier",
-                       "application", "--load", "1000",
-                       "--max-redundancy", "4", "--batch"])
-        assert scalar[0] == 0 and batched[0] == 0
-        assert scalar[1] == batched[1]

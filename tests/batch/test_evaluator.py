@@ -1,4 +1,5 @@
-"""Batch planning, grouping, fallbacks and the cache/search hooks."""
+"""Batch planning, grouping, fallbacks and the engines' many-model
+method."""
 
 import math
 
@@ -9,8 +10,7 @@ from repro.availability import (AnalyticEngine, FailureModeEntry,
                                 MarkovEngine, TierAvailabilityModel,
                                 TierResult)
 from repro.availability.markov import evaluate_tier
-from repro.batch import (TierBatcher, batch_target, solve_models,
-                         solve_outcomes, transport_shape_key)
+from repro.batch import solve_models, transport_shape_key
 from repro.batch import evaluator as evaluator_module
 from repro.errors import EvaluationError
 from repro.resilience.events import DegradationLog
@@ -187,57 +187,31 @@ class TestSolveModels:
         assert canonical(outcomes[0])[1:] == canonical(outcomes[1])[1:]
 
 
-class TestBatchTarget:
-    def test_markov_engine_is_supported(self):
-        engine = MarkovEngine()
-        assert batch_target(engine) is engine
-
-    def test_other_engines_are_not(self):
-        assert batch_target(AnalyticEngine()) is None
-        from repro.availability import SimulationEngine
-        assert batch_target(SimulationEngine(years=10, seed=1)) is None
-
-    def test_markov_subclass_is_not(self):
-        """Exact type check: a subclass may override evaluate_tier."""
-        class Tweaked(MarkovEngine):
-            pass
-        assert batch_target(Tweaked()) is None
-
-    def test_cached_markov_is_supported(self, tmp_path):
-        from repro.cache import TierEvaluationStore, attach_cache
-        store = TierEvaluationStore(str(tmp_path / "cache"))
-        cached = attach_cache(MarkovEngine(), store)
-        assert batch_target(cached) is cached
-
-    def test_cached_analytic_is_not(self, tmp_path):
-        from repro.cache import TierEvaluationStore, attach_cache
-        store = TierEvaluationStore(str(tmp_path / "cache"))
-        cached = attach_cache(AnalyticEngine(), store)
-        assert batch_target(cached) is None
-
-
 class TestSolveOutcomes:
+    """The cached engine's many-model method: one get per model, one
+    wavefront for the misses, one put per fresh result."""
+
     def test_cached_engine_misses_then_hits(self, tmp_path):
         from repro.cache import TierEvaluationStore, attach_cache
         store = TierEvaluationStore(str(tmp_path / "cache"))
         cached = attach_cache(MarkovEngine(), store)
         models = [model("a"), model("b", n=4, m=2)]
-        cold = solve_outcomes(cached, models)
+        cold = cached.evaluate_tiers(models)
         assert store.counters["misses"] == 2
         assert store.counters["hits"] == 0
-        warm = solve_outcomes(cached, models)
+        warm = cached.evaluate_tiers(models)
         assert store.counters["hits"] == 2
         for one, two in zip(cold, warm):
             assert canonical(one) == canonical(two)
 
     def test_bare_engine_skips_the_store(self):
-        engine = MarkovEngine()
-        outcomes = solve_outcomes(engine, [model("a")])
+        outcomes = MarkovEngine().evaluate_tiers([model("a")])
         assert isinstance(outcomes[0], TierResult)
 
 
-class TestTierBatcher:
-    def test_solve_tasks_maps_keys_and_omits_errors(self, monkeypatch):
+class TestEvaluateTiers:
+    def test_markov_engine_returns_errors_in_their_slots(self,
+                                                         monkeypatch):
         real_plan = evaluator_module._mode_plan
         real_evaluate = evaluator_module.evaluate_tier
 
@@ -248,31 +222,50 @@ class TestTierBatcher:
 
         def fragile_evaluate(tier_model):
             if tier_model.name == "broken":
-                raise EvaluationError("scalar path rejects it too")
+                raise EvaluationError("the DFS builder rejects it too")
             return real_evaluate(tier_model)
 
         monkeypatch.setattr(evaluator_module, "_mode_plan",
                             fragile_plan)
         monkeypatch.setattr(evaluator_module, "evaluate_tier",
                             fragile_evaluate)
-        batcher = TierBatcher(MarkovEngine())
-        tasks = [(("k", 1), model("a")), (("k", 2), model("broken")),
-                 (("k", 3), model("b", n=4, m=2))]
-        merged = batcher.solve_tasks(tasks)
-        assert set(merged) == {("k", 1), ("k", 3)}
-        assert repr(merged[("k", 1)]) == \
-            repr(evaluate_tier(model("a")).unavailability)
+        outcomes = MarkovEngine().evaluate_tiers(
+            [model("a"), model("broken"), model("b", n=4, m=2)])
+        assert isinstance(outcomes[1], EvaluationError)
+        assert canonical(outcomes[0]) == \
+            canonical(evaluate_tier(model("a")))
+        with pytest.raises(EvaluationError):
+            MarkovEngine().evaluate_tier(model("broken"))
 
     def test_chain_memo_persists_across_wavefronts(self):
-        batcher = TierBatcher(MarkovEngine())
-        batcher.solve_tasks([(("w1", 0), model("a"))])
-        assert batcher._chains
-        memo_size = len(batcher._chains)
-        merged = batcher.solve_tasks([(("w2", 0), model("b"))])
+        memo: dict = {}
+        engine = MarkovEngine()
+        engine.evaluate_tiers([model("a")], chain_cache=memo)
+        assert memo
+        memo_size = len(memo)
+        outcome, = engine.evaluate_tiers([model("b")], chain_cache=memo)
         # Identical chain: served from the memo, nothing new stored.
-        assert len(batcher._chains) == memo_size
-        assert repr(merged[("w2", 0)]) == \
+        assert len(memo) == memo_size
+        assert repr(outcome.unavailability) == \
             repr(evaluate_tier(model("b")).unavailability)
+
+    def test_single_solve_is_a_wavefront_of_one(self):
+        for tier_model in (model("a"), model("c", n=3, m=2, s=1)):
+            assert canonical(MarkovEngine().evaluate_tier(tier_model)) \
+                == canonical(evaluate_tier(tier_model))
+
+    def test_default_method_loops_over_evaluate_tier(self):
+        class Picky(AnalyticEngine):
+            def evaluate_tier(self, tier_model):
+                if tier_model.name == "broken":
+                    raise EvaluationError("picky")
+                return super().evaluate_tier(tier_model)
+
+        good, failed = Picky().evaluate_tiers(
+            [model("a"), model("broken")], log=DegradationLog())
+        assert canonical(good) == \
+            canonical(AnalyticEngine().evaluate_tier(model("a")))
+        assert isinstance(failed, EvaluationError)
 
 
 class TestTransportShapeKey:

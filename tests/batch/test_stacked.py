@@ -137,6 +137,27 @@ class TestSizeClassMerge:
         assert np.array_equal(merged[0], alone_a)
         assert np.array_equal(merged[1], alone_b)
 
+    def test_byte_cap_cuts_the_stack_without_changing_values(
+            self, monkeypatch):
+        """A size class larger than STACK_BYTES is solved in several
+        LAPACK calls; LU is per slice, so the bits do not move."""
+        from repro.batch import stacked
+        from repro.obs import observing
+        a = inplace_template(4, 2, 4)
+        b = inplace_template(4, 1, 1)
+        rates_a = rates_matrix([(0.001 * k, 0.0, 0.0, 0.2)
+                                for k in range(1, 6)])
+        rates_b = rates_matrix([(0.003, 0.0, 0.0, 0.4),
+                                (0.004, 0.0, 0.0, 0.3)])
+        whole = solve_size_class([(a, rates_a), (b, rates_b)])
+        # Room for two 5x5 systems per call: 7 members -> 4 calls.
+        monkeypatch.setattr(stacked, "STACK_BYTES", 2 * 5 * 5 * 8)
+        with observing() as obs:
+            cut = solve_size_class([(a, rates_a), (b, rates_b)])
+        assert obs.metrics.counter_value("batch.lapack_calls") == 4
+        for one, two in zip(whole, cut):
+            assert np.array_equal(one, two)
+
     def test_singular_member_raises_linalg_error(self):
         """An all-zero rate column yields a singular system; the caller
         owns the retry ladder, so the kernel must raise, not guess."""

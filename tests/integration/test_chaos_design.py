@@ -24,18 +24,23 @@ REQUIREMENTS = ServiceRequirements(1000, Duration.minutes(100))
 
 
 class DyingMarkov(MarkovEngine):
-    """A Markov engine that raises on every solve after ``survive``."""
+    """A Markov engine whose every solve after ``survive`` fails.
+
+    The fault sits in the many-model method every search solve goes
+    through (a single ``evaluate_tier`` is a wavefront of one), so the
+    models past the budget come back as errors in their slots."""
 
     def __init__(self, survive):
         self.survive = survive
         self.calls = 0
 
-    def evaluate_tier(self, model):
-        self.calls += 1
-        if self.calls > self.survive:
-            raise EvaluationError("engine died after %d solves"
-                                  % self.survive)
-        return super().evaluate_tier(model)
+    def evaluate_tiers(self, models, chain_cache=None, log=None):
+        alive = max(0, min(len(models), self.survive - self.calls))
+        self.calls += len(models)
+        died = EvaluationError("engine died after %d solves"
+                               % self.survive)
+        return (super().evaluate_tiers(models[:alive], chain_cache, log)
+                + [died] * (len(models) - alive))
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +130,9 @@ class TestWorkerCrashFaults:
 
 
 class TestWorkerCrashFaultsBatched:
-    """The same process chaos with the vectorized batch transport on
-    (candidates ride to workers in shape chunks).  The fine-grained
-    chunk-fault battery lives in tests/batch/test_chunk_faults.py;
-    this leg keeps the end-to-end chaos claim honest in both modes."""
+    """The same process chaos through a runtime handed in ready-made:
+    candidates ride to workers in shape chunks.  The fine-grained
+    chunk-fault battery lives in tests/batch/test_chunk_faults.py."""
 
     def test_thirty_percent_worker_crashes_reproduce_design(
             self, paper_infra, ecommerce, fault_free):
@@ -140,8 +144,7 @@ class TestWorkerCrashFaultsBatched:
             policy=ParallelPolicy(
                 task_retries=2,
                 backoff=BackoffPolicy(backoff_base=0.0)))
-        batched = Aved(paper_infra, ecommerce, parallel=runtime,
-                       batch=True)
+        batched = Aved(paper_infra, ecommerce, parallel=runtime)
         try:
             outcome = batched.design(REQUIREMENTS)
         finally:

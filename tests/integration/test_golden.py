@@ -37,10 +37,11 @@ def test_ecommerce_design_snapshot(paper_infra, ecommerce, golden):
 
 def test_ecommerce_design_snapshot_batched(paper_infra, ecommerce,
                                            golden):
-    """The batched path must reproduce the *same committed fixture* as
-    the scalar run -- byte-identical snapshots, not a parallel set of
-    batched fixtures."""
-    outcome = Aved(paper_infra, ecommerce, batch=True).design(SERVICE_REQ)
+    """Wavefronts shipped to the worker pool in shape chunks must
+    reproduce the *same committed fixture* as the in-process run --
+    byte-identical snapshots, not a parallel set of pooled
+    fixtures."""
+    outcome = Aved(paper_infra, ecommerce, jobs=2).design(SERVICE_REQ)
     golden.check("design_ecommerce_load1000_100m",
                  evaluation_to_dict(outcome.evaluation))
 
@@ -48,7 +49,7 @@ def test_ecommerce_design_snapshot_batched(paper_infra, ecommerce,
 def test_app_tier_design_snapshot_batched(paper_infra,
                                           app_tier_service, golden):
     outcome = Aved(paper_infra, app_tier_service,
-                   batch=True).design(SERVICE_REQ)
+                   jobs=2).design(SERVICE_REQ)
     golden.check("design_app_tier_load1000_100m",
                  evaluation_to_dict(outcome.evaluation))
 

@@ -1,10 +1,11 @@
 """Crash-safe checkpointing under the parallel runtime.
 
-A parallel search autosaves after every merged prefetch batch.  These
-tests kill a ``jobs=2`` search mid-batch (the autosave itself raises,
-as a hard kill between write and return would), verify the on-disk
-checkpoint is still a torn-free valid snapshot, and resume it under a
-*different* ``--jobs`` value to the same minimum-cost design.
+A search records every merged wavefront; at ``interval=1`` it also
+saves after each one.  These tests kill a ``jobs=2`` search mid-batch
+(the autosave itself raises, as a hard kill between write and return
+would), verify the on-disk checkpoint is still a torn-free valid
+snapshot, and resume it under a *different* ``--jobs`` value to the
+same minimum-cost design.
 """
 
 import json
@@ -28,7 +29,7 @@ class _KillingCheckpoint(SearchCheckpoint):
     """
 
     def __init__(self, path, kill_on_batch):
-        super().__init__(path)
+        super().__init__(path, interval=1)
         self.kill_on_batch = kill_on_batch
         self.batches = 0
 

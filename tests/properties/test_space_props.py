@@ -1,17 +1,11 @@
-"""Differential soundness of canonical keys and dominance pruning.
+"""Differential soundness of canonical keys.
 
-Two contracts from :mod:`repro.lint`:
-
-* **Key soundness** -- equal canonical keys imply serialized-identical
-  :class:`TierResult` under every engine (Markov, analytic, and the
-  seeded simulation).  The generator builds model pairs that differ
-  only in attributes the canonical form provably drops (failover
-  decoration of spare-less tiers), the exact collapse the key relies
-  on.
-* **Pruning soundness** -- a search with ``prune=True`` returns a
-  byte-identical :class:`DesignOutcome` to the exhaustive run on the
-  same space, for every requirement point; candidates it skipped were
-  therefore genuinely dominated.
+**Key soundness** (:mod:`repro.lint`) -- equal canonical keys imply
+serialized-identical :class:`TierResult` under every engine (Markov,
+analytic, and the seeded simulation).  The generator builds model
+pairs that differ only in attributes the canonical form provably drops
+(failover decoration of spare-less tiers), the exact collapse the key
+relies on.
 """
 
 import json
@@ -22,14 +16,8 @@ from hypothesis import strategies as st
 from repro.availability import (AnalyticEngine, FailureModeEntry,
                                 MarkovEngine, SimulationEngine,
                                 TierAvailabilityModel)
-from repro.core import Aved, SearchLimits
-from repro.core.serialize import evaluation_to_dict
-from repro.errors import InfeasibleError
 from repro.lint import canonical_key
-from repro.model import ServiceRequirements
 from repro.units import Duration
-
-from ..lint.test_space import build_infra, build_service
 
 ENGINES = (MarkovEngine(), AnalyticEngine(),
            SimulationEngine(years=5.0, seed=7))
@@ -106,42 +94,3 @@ class TestKeySoundness:
             name=first.name, n=first.n, m=first.m, s=first.s,
             modes=tuple(first.modes), repair_crew=first.repair_crew)
         assert canonical_key(first) == canonical_key(copy)
-
-
-class TestPruningSoundness:
-    @given(fast_mttr_hours=st.floats(min_value=0.5, max_value=23.0,
-                                     allow_nan=False),
-           target_minutes=st.floats(min_value=5.0, max_value=2000.0,
-                                    allow_nan=False),
-           load=st.floats(min_value=50.0, max_value=450.0,
-                          allow_nan=False),
-           max_redundancy=st.integers(min_value=1, max_value=2))
-    @settings(max_examples=25, deadline=None)
-    def test_pruned_search_equals_exhaustive_search(
-            self, fast_mttr_hours, target_minutes, load, max_redundancy):
-        infra = build_infra([
-            ("basic", Duration.hours(24)),
-            ("fast", Duration.hours(fast_mttr_hours))])
-        service = build_service()
-        limits = SearchLimits(max_redundancy=max_redundancy)
-        requirements = ServiceRequirements(
-            load, Duration.minutes(target_minutes))
-        outcomes = {}
-        for prune in (True, False):
-            engine = Aved(infra, service, limits=limits, prune=prune)
-            try:
-                outcomes[prune] = engine.design(requirements)
-            except InfeasibleError:
-                outcomes[prune] = None
-        if outcomes[False] is None:
-            # Pruning only ever *removes* provably-infeasible
-            # candidates, so it cannot make an infeasible point
-            # feasible either.
-            assert outcomes[True] is None
-            return
-        assert outcomes[True] is not None
-        assert json.dumps(evaluation_to_dict(outcomes[True].evaluation),
-                          sort_keys=True) == \
-            json.dumps(evaluation_to_dict(outcomes[False].evaluation),
-                       sort_keys=True)
-        assert outcomes[False].stats.dominance_pruned == 0

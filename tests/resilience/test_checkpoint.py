@@ -60,7 +60,7 @@ class TestRecording:
 
     def test_record_batch_saves_once(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.json")
-        checkpoint = SearchCheckpoint(path, interval=100)
+        checkpoint = SearchCheckpoint(path, interval=1)
         saves = []
         original = SearchCheckpoint.save
 
@@ -96,6 +96,7 @@ class TestAtomicReplace:
         path = str(tmp_path / "ck.json")
         checkpoint = SearchCheckpoint(path)
         checkpoint.record_batch([(("a",), 0.1)])
+        checkpoint.flush()
 
         def exploding_dump(*args, **kwargs):
             raise KeyboardInterrupt("killed mid-write")

@@ -215,6 +215,33 @@ class TestDiskFaultDegradation:
         resumed = SearchCheckpoint.load(str(tmp_path / "cp.json"))
         assert resumed.evaluations == 4
 
+    @pytest.mark.parametrize("record", ["record_evaluation",
+                                        "record_batch"])
+    def test_full_disk_saves_follow_interval_and_backoff(
+            self, tmp_path, monkeypatch, record):
+        """Single solves and one-entry wavefronts share one save rule:
+        on a full disk, 30 recorded solves at interval 10 make three
+        save attempts (one per interval of backed-off progress) and
+        log three AVD309 events -- not one per call."""
+        checkpoint = make_checkpoint(tmp_path, interval=10)
+        attempts = []
+
+        def full_disk(*args, **kwargs):
+            attempts.append(1)
+            raise OSError(errno.ENOSPC, "no space")
+
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", full_disk)
+        for index in range(30):
+            key, value = ("web", index, 0), index / 100.0
+            if record == "record_evaluation":
+                checkpoint.record_evaluation(key, value)
+            else:
+                checkpoint.record_batch([(key, value)])
+        assert len(attempts) == 3
+        assert checkpoint.save_failures == 3
+        events = list(checkpoint.drain_log())
+        assert [event.kind for event in events] == [CHECKPOINT_FAULT] * 3
+
     def test_flush_degrades_instead_of_raising(self, tmp_path,
                                                monkeypatch):
         checkpoint = make_checkpoint(tmp_path, interval=100)
