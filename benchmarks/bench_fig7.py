@@ -3,23 +3,39 @@
 Regenerates the figure's series -- resource type, resource count,
 spares, checkpoint interval and storage location across a sweep of
 execution-time requirements -- and benchmarks the job search.
+
+``BENCH_fig7.json`` records the whole sweep's wall time as p50/p95
+over repeated runs, each requirement searched by a fresh
+``DesignEvaluator``/``JobSearch`` pair (as every ``repro design``
+request is), and each requirement's deterministic work counters.
 """
+
+import math
+import statistics
+import time
 
 import pytest
 
-from repro.core import DesignEvaluator, JobSearch, SearchLimits
+from repro.core import (DesignEvaluator, JobSearch, SearchLimits,
+                        TierDesign)
 from repro.core.families import checkpoint_settings
-from repro.model import JobRequirements
+from repro.core.search import _SettingTable
+from repro.model import JobRequirements, MechanismConfig
 from repro.units import Duration
 
 from .conftest import write_bench_json, write_report
 
 REQUIREMENT_HOURS = [2, 5, 10, 20, 50, 100, 200, 500, 1000]
 SMOKE_HOURS = [20, 100, 1000]
+#: Timed repetitions of the whole sweep (full, smoke).
+SWEEP_REPS = (11, 5)
 LIMITS = SearchLimits(
     spare_policy="cold", max_redundancy=12,
     fixed_settings={"maintenanceA": {"level": "bronze"},
                     "maintenanceB": {"level": "bronze"}})
+#: The work counters recorded per requirement.
+WORK_COUNTERS = ("structures_enumerated", "job_time_evaluations",
+                 "cost_pruned")
 
 
 @pytest.fixture(scope="module")
@@ -27,20 +43,45 @@ def requirement_hours(smoke):
     return SMOKE_HOURS if smoke else REQUIREMENT_HOURS
 
 
-@pytest.fixture(scope="module")
-def sweep(paper_infra, scientific, requirement_hours):
-    evaluator = DesignEvaluator(paper_infra, scientific)
-    search = JobSearch(evaluator, LIMITS)
-    results = {}
+def run_sweep(infrastructure, service, requirement_hours):
+    """({hours: best design}, {hours: work counters}) of one sweep."""
+    results, work = {}, {}
     for hours in requirement_hours:
+        search = JobSearch(DesignEvaluator(infrastructure, service),
+                           LIMITS)
         best = search.best_design(JobRequirements(Duration.hours(hours)))
         if best is not None:
             results[hours] = best
-    return results
+        work[hours] = {name: getattr(search.stats, name)
+                       for name in WORK_COUNTERS}
+    return results, work
+
+
+def percentile(ordered, fraction):
+    """Nearest-rank percentile of an ascending list."""
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 @pytest.fixture(scope="module")
-def fig7_report(sweep, requirement_hours, smoke):
+def sweep_runs(paper_infra, scientific, requirement_hours, smoke):
+    """The sweep's answers, work counters and sorted wall times."""
+    seconds = []
+    for _ in range(SWEEP_REPS[1] if smoke else SWEEP_REPS[0]):
+        start = time.perf_counter()
+        results, work = run_sweep(paper_infra, scientific,
+                                  requirement_hours)
+        seconds.append(time.perf_counter() - start)
+    return results, work, sorted(seconds)
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_runs):
+    return sweep_runs[0]
+
+
+@pytest.fixture(scope="module")
+def fig7_report(sweep_runs, requirement_hours, smoke):
+    sweep, work, seconds = sweep_runs
     lines = ["Fig. 7 -- optimal design vs job execution time requirement",
              "(maintenance fixed at bronze, as in the paper)", ""]
     header = ("%9s %-8s %7s %6s %-10s %-8s %11s %12s"
@@ -73,7 +114,22 @@ def fig7_report(sweep, requirement_hours, smoke):
                 evaluation.job_time.expected_time.as_hours,
             "annual_cost": evaluation.annual_cost,
         })
-    write_bench_json("fig7", {"points": points}, smoke=smoke)
+    p50, p95 = statistics.median(seconds), percentile(seconds, 0.95)
+    lines.extend(["", "sweep wall time: p50 %.3f s, p95 %.3f s over %d "
+                  "runs (fresh search per requirement)"
+                  % (p50, p95, len(seconds)), "",
+                  "%9s %11s %9s %11s" % ("deadline", "structures",
+                                         "job evals", "cost-pruned")])
+    for hours in requirement_hours:
+        lines.append("%8dh %11d %9d %11d" % ((hours,) + tuple(
+            work[hours][name] for name in WORK_COUNTERS)))
+    write_bench_json("fig7", {
+        "points": points,
+        "sweep_seconds": {"p50": p50, "p95": p95, "runs": len(seconds),
+                          "samples": seconds},
+        "work": [dict(required_hours=hours, **work[hours])
+                 for hours in requirement_hours],
+    }, smoke=smoke)
     return write_report("fig7.txt", "\n".join(lines))
 
 
@@ -144,20 +200,28 @@ def test_benchmark_job_search_tight(benchmark, paper_infra, scientific):
     assert best is not None
 
 
-def test_benchmark_job_time_closed_form(benchmark, paper_infra,
-                                        scientific):
-    """The Eq. 1 kernel swept 300x per structure by the search."""
-    from repro.core import Design, TierDesign
-    from repro.model import MechanismConfig
-    evaluator = DesignEvaluator(paper_infra, scientific)
+def test_benchmark_structure_sweep(benchmark, paper_infra, scientific):
+    """One structure's whole checkpoint sweep (2 x 151 = 302 settings):
+    the job search's inner loop, from a freshly built settings table.
+    The structure's availability is solved once, outside the timing."""
+    search = JobSearch(DesignEvaluator(paper_infra, scientific), LIMITS)
     bronze = MechanismConfig(paper_infra.mechanism("maintenanceA"),
                              {"level": "bronze"})
-    checkpoint = paper_infra.mechanism("checkpoint")
-    grid = checkpoint.parameter("checkpoint_interval").values.values()
-    config = MechanismConfig(checkpoint,
-                             {"storage_location": "central",
-                              "checkpoint_interval": grid[60]})
-    design = Design((TierDesign("computation", "rH", 20, 1, (),
-                                (bronze, config)),))
-    availability = evaluator.availability(design)
-    benchmark(lambda: evaluator.job_time(design, availability))
+    structure = TierDesign("computation", "rH", 20, 1, (), (bronze,))
+    option = scientific.tiers[0].option_for("rH")
+    _, performance = search.evaluator.required_mechanisms("computation",
+                                                          "rH")
+    perf_combos = search._mechanism_combos(performance)
+    assert len(perf_combos) == 302
+    requirements = JobRequirements(Duration.hours(1000))
+    search._tier_unavailability(structure, None)
+
+    def run():
+        table = _SettingTable(search.evaluator, option, structure,
+                              perf_combos)
+        return search._evaluate_structure(structure, table, requirements,
+                                          None)
+
+    evaluation, _ = benchmark(run)
+    assert evaluation is not None
+    assert search.stats.cost_pruned == 0

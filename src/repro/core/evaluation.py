@@ -16,15 +16,17 @@ section 4: given a resolved :class:`~repro.core.design.Design`, it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..availability import (AvailabilityEngine, AvailabilityResult,
                             FailureModeEntry, JobTimeEstimate, MarkovEngine,
-                            TierAvailabilityModel, estimate_job_time)
+                            TierAvailabilityModel, estimate_job_time,
+                            loss_window_seconds)
 from ..cost import CostBreakdown, tier_cost
-from ..errors import EvaluationError
-from ..model import (InfrastructureModel, JobRequirements, OperationalMode,
-                     ResourceOption, ServiceModel, ServiceRequirements)
+from ..errors import EvaluationError, ModelError
+from ..model import (InfrastructureModel, JobRequirements, MechanismConfig,
+                     OperationalMode, ResourceOption, ServiceModel,
+                     ServiceRequirements)
 from ..obs import current as _obs_current
 from ..units import Duration, WorkAmount
 from .design import Design, TierDesign
@@ -114,9 +116,7 @@ class DesignEvaluator:
         m = self.minimum_active(tier_design, required_throughput)
         cache_key = (tier_design.resource,
                      tier_design.spare_active_prefix,
-                     tuple((config.name,
-                            tuple(sorted((k, str(v)) for k, v
-                                         in config.settings.items())))
+                     tuple(config.key
                            for config in tier_design.mechanism_configs))
         modes = self._mode_entry_cache.get(cache_key)
         if modes is None:
@@ -272,35 +272,36 @@ class DesignEvaluator:
         if availability is None:
             availability = self.availability(design)
 
-        tier_design, loss_window = self._loss_window(design)
+        tier_design, window = self._loss_window(design)
         option = self._option(tier_design)
         n = tier_design.n_active
-        throughput = option.performance.throughput(n)
-        if throughput <= 0:
-            raise EvaluationError("tier %r has zero throughput at n=%d"
-                                  % (tier_design.tier, n))
-        overhead = self._overhead_factor(tier_design, option)
-        model = self.tier_model(tier_design)
-        tier_mtbf = model.tier_mtbf()
-        if loss_window is None:
-            # No checkpointing: worst case, the whole job can be lost.
-            loss_window = Duration.hours(
-                self.service.job_size / (throughput / overhead))
-        elif isinstance(loss_window, WorkAmount):
-            # Work-unit window (paper footnote 1): convert via the
-            # performance model at the effective (overhead-adjusted)
-            # processing rate.
-            loss_window = loss_window.time_at(throughput / overhead)
+        throughput = self.job_throughput(option, tier_design.tier, n)
+        overhead = self.overhead_factor(option,
+                                        _configs_by_name(tier_design), n)
+        tier_mtbf = self.tier_model(tier_design).tier_mtbf()
+        # A whole-job or work-unit window (paper footnote 1) converts
+        # at the effective (overhead-adjusted) processing rate.
+        loss_window = loss_window_seconds(window, self.service.job_size,
+                                          throughput / overhead)
         return estimate_job_time(
             job_size=self.service.job_size,
             throughput_per_hour=throughput,
             overhead_factor=overhead,
-            loss_window=loss_window,
+            loss_window=Duration(loss_window),
             tier_mtbf=tier_mtbf,
             uptime_fraction=availability.availability)
 
+    def job_throughput(self, option: ResourceOption, tier_name: str,
+                       n_active: int) -> float:
+        """Failure-free throughput of ``n_active`` resources; positive."""
+        throughput = option.performance.throughput(n_active)
+        if throughput <= 0:
+            raise EvaluationError("tier %r has zero throughput at n=%d"
+                                  % (tier_name, n_active))
+        return throughput
+
     def _loss_window(self, design: Design) \
-            -> Tuple[TierDesign, Optional[Duration]]:
+            -> Tuple[TierDesign, Optional[Union[Duration, WorkAmount]]]:
         """Locate the design's loss window and the tier that owns it.
 
         Exactly one tier may carry loss-window components; if none does,
@@ -308,34 +309,18 @@ class DesignEvaluator:
         is "the whole job" (returned as None for the caller to derive).
         """
         owner: Optional[TierDesign] = None
-        window: Optional[Duration] = None
+        window = None
         for tier_design in design.tiers:
-            resource = self.infrastructure.resource(tier_design.resource)
-            for slot in resource.slots:
-                component = self.infrastructure.component(slot.component)
-                if component.loss_window is None:
-                    continue
-                if owner is not None and owner.tier != tier_design.tier:
-                    raise EvaluationError(
-                        "loss windows in multiple tiers (%r and %r) are "
-                        "not supported" % (owner.tier, tier_design.tier))
-                owner = tier_design
-                value = component.loss_window
-                mechanism_name = component.loss_window_mechanism
-                if mechanism_name is not None:
-                    config = tier_design.mechanism_config(mechanism_name)
-                    value = config.attribute("loss_window")
-                    if isinstance(value, str):
-                        value = (WorkAmount.parse(value)
-                                 if value.endswith("u")
-                                 else Duration.parse(value))
-                if window is not None and \
-                        type(value) is not type(window):
-                    raise EvaluationError(
-                        "cannot combine time and work-unit loss windows "
-                        "in one design")
-                if window is None or value > window:
-                    window = value
+            if not self._has_loss_window(tier_design.resource):
+                continue
+            if owner is not None:
+                raise EvaluationError(
+                    "loss windows in multiple tiers (%r and %r) are "
+                    "not supported" % (owner.tier, tier_design.tier))
+            owner = tier_design
+            window = self.tier_loss_window(tier_design.tier,
+                                           tier_design.resource,
+                                           _configs_by_name(tier_design))
         if owner is None:
             if len(design.tiers) != 1:
                 raise EvaluationError(
@@ -344,15 +329,55 @@ class DesignEvaluator:
             return design.tiers[0], None
         return owner, window
 
-    def _overhead_factor(self, tier_design: TierDesign,
-                         option: ResourceOption) -> float:
+    def _has_loss_window(self, resource_name: str) -> bool:
+        resource = self.infrastructure.resource(resource_name)
+        return any(self.infrastructure.component(slot.component)
+                   .loss_window is not None for slot in resource.slots)
+
+    def tier_loss_window(self, tier_name: str, resource_name: str,
+                         configs: Mapping[str, MechanismConfig]) \
+            -> Optional[Union[Duration, WorkAmount]]:
+        """The largest loss window of a tier's components (None if no
+        component has one), resolving mechanism references against
+        ``configs`` (mechanism name -> configuration)."""
+        resource = self.infrastructure.resource(resource_name)
+        window = None
+        for slot in resource.slots:
+            component = self.infrastructure.component(slot.component)
+            if component.loss_window is None:
+                continue
+            value = component.loss_window
+            mechanism_name = component.loss_window_mechanism
+            if mechanism_name is not None:
+                config = configs.get(mechanism_name)
+                if config is None:
+                    raise ModelError(
+                        "tier %r design has no configuration for "
+                        "mechanism %r" % (tier_name, mechanism_name))
+                value = config.attribute("loss_window")
+                if isinstance(value, str):
+                    value = (WorkAmount.parse(value)
+                             if value.endswith("u")
+                             else Duration.parse(value))
+            if window is not None and type(value) is not type(window):
+                raise EvaluationError(
+                    "cannot combine time and work-unit loss windows "
+                    "in one design")
+            if window is None or value > window:
+                window = value
+        return window
+
+    def overhead_factor(self, option: ResourceOption,
+                        configs: Mapping[str, MechanismConfig],
+                        n_active: int) -> float:
+        """Product of the configured mechanisms' execution slowdowns,
+        in the option's mechanism order."""
         factor = 1.0
         for use in option.mechanisms:
-            if not tier_design.has_mechanism(use.mechanism):
+            config = configs.get(use.mechanism)
+            if config is None:
                 continue
-            config = tier_design.mechanism_config(use.mechanism)
-            factor *= use.overhead.factor(config.settings,
-                                          tier_design.n_active)
+            factor *= use.overhead.factor(config.settings, n_active)
         return factor
 
     # ------------------------------------------------------------------
@@ -390,3 +415,8 @@ class DesignEvaluator:
         performance = [name for name in performance
                        if name not in structural]
         return structural, performance
+
+
+def _configs_by_name(tier_design: TierDesign) \
+        -> Dict[str, MechanismConfig]:
+    return {config.name: config for config in tier_design.mechanism_configs}

@@ -39,7 +39,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..availability import TierResult
+from ..availability import (JobTimeEstimate, TierResult, job_time_seconds,
+                            loss_window_seconds)
+from ..cost import (CostBreakdown, fold_charges, mechanism_multiplier,
+                    mechanism_reference_counts)
 from ..errors import SearchError
 from ..model import JobRequirements, MechanismConfig, ResourceOption
 from ..obs import current as _obs_current
@@ -145,6 +148,8 @@ class _TierSearchBase:
         self._availability_cache: Dict[tuple, float] = {}
         #: Keys a wavefront solved that no decision loop has read yet.
         self._unread: set = set()
+        #: Each mechanism's configurations, built and validated once.
+        self._configs: Dict[str, List[MechanismConfig]] = {}
         #: Per-search memo of solved chains: (shape, rates) -> (u, f).
         self._chains: dict = {}
         if checkpoint is not None:
@@ -154,6 +159,9 @@ class _TierSearchBase:
     # -- mechanism enumeration -----------------------------------------
 
     def _mechanism_configs(self, name: str) -> List[MechanismConfig]:
+        configs = self._configs.get(name)
+        if configs is not None:
+            return configs
         mechanism = self.evaluator.infrastructure.mechanism(name)
         pinned = self.limits.fixed_settings.get(name, {})
         configs = []
@@ -165,6 +173,7 @@ class _TierSearchBase:
             raise SearchError(
                 "fixed settings %r eliminate every configuration of "
                 "mechanism %r" % (dict(pinned), name))
+        self._configs[name] = configs
         return configs
 
     def _mechanism_combos(self, names: Sequence[str]) \
@@ -321,13 +330,13 @@ class _TierSearchBase:
     @staticmethod
     def _structure_key(tier_design: TierDesign,
                        load: Optional[float]) -> tuple:
-        mech_key = tuple(sorted(
-            (config.name, tuple(sorted((k, str(v))
-                                       for k, v in config.settings.items())))
-            for config in tier_design.mechanism_configs))
+        # TierDesign keeps its configurations sorted by (unique) name.
         return (tier_design.tier, tier_design.resource,
                 tier_design.n_active, tier_design.n_spare,
-                tier_design.spare_active_prefix, mech_key, load)
+                tier_design.spare_active_prefix,
+                tuple(config.key
+                      for config in tier_design.mechanism_configs),
+                load)
 
     # -- structure enumeration --------------------------------------------
 
@@ -726,6 +735,8 @@ class JobSearch(_TierSearchBase):
         structural, performance = self.evaluator.required_mechanisms(
             tier_name, option.resource)
         perf_combos = self._mechanism_combos(performance)
+        #: One settings table per structural mechanism combo.
+        tables: Dict[Tuple[MechanismConfig, ...], _SettingTable] = {}
         best = incumbent
         best_time_previous = math.inf
         degradations = 0
@@ -748,11 +759,13 @@ class JobSearch(_TierSearchBase):
                 if best is not None else math.inf)
             best_time_this_total = math.inf
             for structure in structures:
+                table = tables.get(structure.mechanism_configs)
+                if table is None:
+                    table = tables[structure.mechanism_configs] = \
+                        _SettingTable(self.evaluator, option,
+                                      structure, perf_combos)
                 evaluation, best_time = self._evaluate_structure(
-                    tier_name, option, structure.n_active,
-                    structure.n_spare, structure.spare_active_prefix,
-                    structure.mechanism_configs, perf_combos,
-                    requirements, best)
+                    structure, table, requirements, best)
                 best_time_this_total = min(best_time_this_total,
                                            best_time)
                 if evaluation is not None:
@@ -788,72 +801,69 @@ class JobSearch(_TierSearchBase):
         needed = job_size / hours
         return option.min_active_for(needed)
 
-    def _evaluate_structure(self, tier_name: str, option: ResourceOption,
-                            n_active: int, n_spare: int,
-                            prefix: Tuple[str, ...],
-                            structural_combo: Tuple[MechanismConfig, ...],
-                            perf_combos: Sequence[Tuple[MechanismConfig,
-                                                        ...]],
+    def _evaluate_structure(self, structure: TierDesign,
+                            table: "_SettingTable",
                             requirements: JobRequirements,
                             incumbent: Optional[DesignEvaluation]) \
             -> Tuple[Optional[DesignEvaluation], float]:
-        """Evaluate one structure across all performance-mechanism combos.
+        """Sweep one structure across every performance-mechanism setting.
 
         Returns (an evaluation improving on ``incumbent`` or None, best
-        expected job time seen) -- the latter feeds the
+        expected job time seen, in hours) -- the latter feeds the
         degradation-based termination rule.  "Improving" is
         lexicographic: lower cost wins; at equal cost, lower expected
         job time wins (the paper reports the *optimal* checkpoint
         configuration, not just any feasible one).
+
+        The decision loop runs over plain floats from a
+        :class:`_StructureSweep`; objects are built only for the
+        setting that wins.
         """
-        self.stats.structures_enumerated += 1
-        evaluator = self.evaluator
+        stats = self.stats
+        stats.structures_enumerated += 1
+        sweep = _StructureSweep(table, structure)
+        limit = requirements.max_execution_time.as_seconds
+        best_cost: Optional[float] = None
+        best_seconds = math.inf
+        if incumbent is not None:
+            best_cost = incumbent.annual_cost
+            if incumbent.job_time is not None:
+                best_seconds = incumbent.job_time.expected_time.as_seconds
+        availability = None
+        winner = None
         best_time = math.inf
-        best_eval = incumbent
 
-        for perf_combo in perf_combos:
-            design = Design((TierDesign(tier_name, option.resource,
-                                        n_active, n_spare, prefix,
-                                        structural_combo + perf_combo),))
-            cost = evaluator.design_cost(design)
-            if not _may_improve(cost.total, best_eval):
-                self.stats.cost_pruned += 1
+        for index, cost in enumerate(sweep.costs):
+            if best_cost is not None \
+                    and not cost <= best_cost + _COST_TIE_EPSILON:
+                stats.cost_pruned += 1
                 continue
-            # Availability depends only on the structural part, so the
-            # cached solve is shared across the performance sweep.
-            unavailability = self._structural_unavailability(
-                tier_name, option, n_active, n_spare, prefix,
-                structural_combo)
-            if unavailability is None:
-                # Quarantined structure: no performance combo can use
-                # it either, so the whole sweep is moot.
-                return None, best_time
-            availability = self._as_result(tier_name, unavailability)
-            job_time = evaluator.job_time(design, availability)
-            self.stats.job_time_evaluations += 1
-            hours = job_time.expected_time.as_hours \
-                if job_time.expected_time.is_finite() else math.inf
-            best_time = min(best_time, hours)
-            feasible = (job_time.expected_time.is_finite()
-                        and job_time.expected_time
-                        <= requirements.max_execution_time)
-            if feasible:
-                evaluation = DesignEvaluation(design, cost, availability,
-                                              job_time)
-                if _improves(evaluation, best_eval):
-                    best_eval = evaluation
-        if best_eval is incumbent:
+            # Availability depends only on the structural part: the
+            # first setting that clears pruning reads the structure's
+            # solve, and every later one re-reads it.
+            if availability is None:
+                unavailability = self._tier_unavailability(structure, None)
+                if unavailability is None:
+                    # Quarantined structure: no setting can use it.
+                    return None, best_time
+                availability = self._as_result(structure.tier,
+                                               unavailability)
+            else:
+                stats.cache_hits += 1
+            outcome = sweep.job_seconds(index, availability.availability)
+            stats.job_time_evaluations += 1
+            seconds = outcome[0]
+            if not math.isfinite(seconds):
+                continue
+            best_time = min(best_time, seconds / 3600.0)
+            if seconds <= limit and _improves(cost, seconds, best_cost,
+                                              best_seconds):
+                best_cost, best_seconds = cost, seconds
+                winner = (index, outcome)
+        if winner is None:
             return None, best_time
-        return best_eval, best_time
-
-    def _structural_unavailability(self, tier_name: str,
-                                   option: ResourceOption, n_active: int,
-                                   n_spare: int, prefix: Tuple[str, ...],
-                                   combo: Tuple[MechanismConfig, ...]) \
-            -> Optional[float]:
-        design = TierDesign(tier_name, option.resource, n_active, n_spare,
-                            prefix, combo)
-        return self._tier_unavailability(design, None)
+        return sweep.evaluation(winner[0], availability,
+                                *winner[1]), best_time
 
     @staticmethod
     def _as_result(tier_name: str, unavailability: float):
@@ -862,27 +872,181 @@ class JobSearch(_TierSearchBase):
         return AvailabilityResult((tier,), unavailability)
 
 
+class _SettingTable:
+    """Per-setting inputs of the job search's checkpoint sweep.
+
+    Serves every structure of one resource option that shares a
+    structural mechanism combo.  It holds what depends on the
+    performance-mechanism setting: the setting's mechanism-cost total
+    per resource total (the structural and performance charges folded
+    in name order, as :func:`repro.cost.tier_cost` folds them), its
+    overhead factor per ``n_active`` and its loss window.  Overheads
+    and loss windows are computed at a setting's first evaluation, so
+    one that raises aborts a search only when that setting is
+    evaluated -- never when it is cost-pruned.  The structural and
+    performance mechanism names are disjoint
+    (:meth:`DesignEvaluator.required_mechanisms`), so no setting
+    configures a mechanism twice.
+    """
+
+    def __init__(self, evaluator: DesignEvaluator, option: ResourceOption,
+                 structure: TierDesign,
+                 perf_combos: Sequence[Tuple[MechanismConfig, ...]]):
+        self.evaluator = evaluator
+        self.option = option
+        self.tier_name = structure.tier
+        self.structural = structure.mechanism_configs
+        self.perf_combos = perf_combos
+        fixed = {config.name: config for config in self.structural}
+        #: Mechanism name -> configuration, per setting.
+        self.configs: List[Dict[str, MechanismConfig]] = []
+        for combo in perf_combos:
+            configs = dict(fixed)
+            configs.update((config.name, config) for config in combo)
+            self.configs.append(configs)
+        # Pruning needs every setting's cost, so costs resolve up
+        # front: one that raises aborts the search, as pricing that
+        # setting's design would.
+        self._costs = [[config.cost() for config in combo]
+                       for combo in perf_combos]
+        self._order = sorted(self.configs[0])
+        self._counts = mechanism_reference_counts(
+            evaluator.infrastructure,
+            evaluator.infrastructure.resource(option.resource))
+        self._totals: Dict[int, List[float]] = {}
+        self._overheads: Dict[int, List[Optional[float]]] = {}
+        self._windows: List[object] = [_UNSET] * len(perf_combos)
+
+    def mechanism_totals(self, total_resources: int) -> List[float]:
+        """Each setting's mechanism cost for ``total_resources``."""
+        totals = self._totals.get(total_resources)
+        if totals is None:
+            totals = self._totals[total_resources] = \
+                self._fold(total_resources)
+        return totals
+
+    def _fold(self, total_resources: int) -> List[float]:
+        counts = self._counts
+        charges = {config.name: mechanism_multiplier(
+            counts, config.name, total_resources) * config.cost()
+            for config in self.structural}
+        names = [config.name for config in self.perf_combos[0]]
+        multipliers = [mechanism_multiplier(counts, name, total_resources)
+                       for name in names]
+        order = self._order
+        totals = []
+        for costs in self._costs:
+            for name, multiplier, cost in zip(names, multipliers, costs):
+                charges[name] = multiplier * cost
+            totals.append(fold_charges([charges[name] for name in order]))
+        return totals
+
+    def overheads(self, n_active: int) -> List[Optional[float]]:
+        """The (lazily filled) overhead factors at ``n_active``."""
+        overheads = self._overheads.get(n_active)
+        if overheads is None:
+            overheads = self._overheads[n_active] = \
+                [None] * len(self.configs)
+        return overheads
+
+    def window(self, index: int):
+        """Setting ``index``'s loss window (None: the whole job)."""
+        window = self._windows[index]
+        if window is _UNSET:
+            window = self._windows[index] = \
+                self.evaluator.tier_loss_window(
+                    self.tier_name, self.option.resource,
+                    self.configs[index])
+        return window
+
+
+class _StructureSweep:
+    """One structure's view of a :class:`_SettingTable`.
+
+    ``costs[i]`` is setting ``i``'s annual cost, and :meth:`job_seconds`
+    its Eq. 1 outcome; both are bit-identical to
+    ``DesignEvaluator.design_cost`` and ``DesignEvaluator.job_time`` on
+    the built design.  The structure's throughput and tier MTBF are
+    derived once, at the first evaluated setting.
+    """
+
+    def __init__(self, table: "_SettingTable", structure: TierDesign):
+        evaluator = table.evaluator
+        self.table = table
+        self.structure = structure
+        self.base = evaluator.tier_cost(structure)
+        self.mechanisms = table.mechanism_totals(structure.total_resources)
+        floor = self.base.active_components + self.base.spare_components
+        #: Each setting's annual cost (CostBreakdown.total's sum order).
+        self.costs = [floor + mechanisms for mechanisms in self.mechanisms]
+        self._overheads = table.overheads(structure.n_active)
+        self._throughput: Optional[float] = None
+        self._mtbf: Optional[float] = None
+
+    def job_seconds(self, index: int, uptime: float) \
+            -> Tuple[float, float, float, float]:
+        """``(expected seconds, useful fraction, effective rate,
+        overhead factor)`` of setting ``index``.
+
+        Inputs are derived in the order ``DesignEvaluator.job_time``
+        derives them, so an input that raises does so at the same
+        setting, with the same error.
+        """
+        table = self.table
+        evaluator = table.evaluator
+        structure = self.structure
+        window = table.window(index)
+        throughput = self._throughput
+        if throughput is None:
+            throughput = self._throughput = evaluator.job_throughput(
+                table.option, structure.tier, structure.n_active)
+        overhead = self._overheads[index]
+        if overhead is None:
+            overhead = self._overheads[index] = evaluator.overhead_factor(
+                table.option, table.configs[index], structure.n_active)
+        mtbf = self._mtbf
+        if mtbf is None:
+            mtbf = self._mtbf = \
+                evaluator.tier_model(structure).tier_mtbf().as_seconds
+        job_size = evaluator.service.job_size
+        seconds, fraction, effective = job_time_seconds(
+            job_size, throughput, overhead,
+            loss_window_seconds(window, job_size, throughput / overhead),
+            mtbf, uptime)
+        return seconds, fraction, effective, overhead
+
+    def design(self, index: int) -> TierDesign:
+        structure = self.structure
+        return TierDesign(structure.tier, structure.resource,
+                          structure.n_active, structure.n_spare,
+                          structure.spare_active_prefix,
+                          structure.mechanism_configs
+                          + self.table.perf_combos[index])
+
+    def evaluation(self, index: int, availability, seconds: float,
+                   fraction: float, effective: float,
+                   overhead: float) -> DesignEvaluation:
+        """The full evaluation of setting ``index``."""
+        cost = CostBreakdown(self.base.active_components,
+                             self.base.spare_components,
+                             self.mechanisms[index])
+        job_time = JobTimeEstimate(Duration(seconds), fraction, overhead,
+                                   availability.availability, effective)
+        return DesignEvaluation(Design((self.design(index),)), cost,
+                                availability, job_time)
+
+
+_UNSET = object()
 _COST_TIE_EPSILON = 1e-6
 
 
-def _may_improve(cost: float,
-                 incumbent: Optional[DesignEvaluation]) -> bool:
-    """Could a design at ``cost`` beat the incumbent lexicographically?"""
-    if incumbent is None:
+def _improves(cost: float, seconds: float, best_cost: Optional[float],
+              best_seconds: float) -> bool:
+    """Lexicographic (cost, expected job seconds) improvement test."""
+    if best_cost is None:
         return True
-    return cost <= incumbent.annual_cost + _COST_TIE_EPSILON
-
-
-def _improves(candidate: DesignEvaluation,
-              incumbent: Optional[DesignEvaluation]) -> bool:
-    """Lexicographic (cost, expected job time) improvement test."""
-    if incumbent is None:
+    if cost < best_cost - _COST_TIE_EPSILON:
         return True
-    if candidate.annual_cost < incumbent.annual_cost - _COST_TIE_EPSILON:
-        return True
-    if candidate.annual_cost > incumbent.annual_cost + _COST_TIE_EPSILON:
+    if cost > best_cost + _COST_TIE_EPSILON:
         return False
-    if incumbent.job_time is None:
-        return True
-    return (candidate.job_time.expected_time
-            < incumbent.job_time.expected_time)
+    return seconds < best_seconds

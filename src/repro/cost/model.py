@@ -19,7 +19,7 @@ per tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from ..errors import EvaluationError
 from ..model import (InfrastructureModel, MechanismConfig, OperationalMode,
@@ -92,16 +92,46 @@ def _mechanism_cost(infrastructure: InfrastructureModel,
     ``total_resources`` times the number of the resource's components
     that reference M.
     """
-    reference_counts: Dict[str, int] = {}
+    counts = mechanism_reference_counts(infrastructure, resource)
+    return fold_charges(
+        mechanism_multiplier(counts, config.name, total_resources)
+        * config.cost()
+        for config in configs)
+
+
+def mechanism_reference_counts(infrastructure: InfrastructureModel,
+                               resource: ResourceType) -> Dict[str, int]:
+    """How many of the resource's components defer to each mechanism."""
+    counts: Dict[str, int] = {}
     for slot in resource.slots:
         component = infrastructure.component(slot.component)
         for name in component.mechanism_references():
-            reference_counts[name] = reference_counts.get(name, 0) + 1
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
+
+def mechanism_multiplier(reference_counts: Mapping[str, int], name: str,
+                         total_resources: int) -> int:
+    """Instances a configuration of mechanism ``name`` is charged for.
+
+    One per deferring component instance; a mechanism no component
+    defers to (e.g. checkpointing listed only in the service model) is
+    charged once per tier.
+    """
+    multiplier = reference_counts.get(name, 0) * total_resources
+    return multiplier if multiplier != 0 else 1
+
+
+def fold_charges(charges: Iterable[float]) -> float:
+    """Sum per-mechanism charges as the cost model does: a left fold
+    from 0.0 in the order given, which for a design is its mechanisms
+    sorted by name (:class:`~repro.core.TierDesign` order).
+
+    Float addition is not associative, so every caller that must agree
+    with :func:`tier_cost` to the bit (the job search's per-setting
+    cost tables) folds through here.
+    """
     total = 0.0
-    for config in configs:
-        multiplier = reference_counts.get(config.name, 0) * total_resources
-        if multiplier == 0:
-            multiplier = 1  # tier-level mechanism (e.g. checkpointing)
-        total += multiplier * config.cost()
+    for charge in charges:
+        total += charge
     return total

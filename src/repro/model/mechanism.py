@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ModelError
-from ..units import Duration, ValueRange
+from ..units import Duration, ValueRange, canonical_scalar
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,16 @@ def _effect_parameter_refs(effect: Effect) -> List[str]:
 
 
 class MechanismConfig:
-    """A mechanism with all parameters bound to concrete settings."""
+    """A mechanism with all parameters bound to concrete settings.
 
-    __slots__ = ("mechanism", "settings")
+    :attr:`key` is the configuration's exact, hashable identity:
+    the mechanism name and its settings in sorted order, each value
+    as :func:`_setting_key` spells it.  Searches key solved structures
+    and memoized failure modes on it, so it must never equate two
+    different settings.
+    """
+
+    __slots__ = ("mechanism", "settings", "key")
 
     def __init__(self, mechanism: AvailabilityMechanism,
                  settings: Dict[str, object]):
@@ -191,6 +198,9 @@ class MechanismConfig:
                              % (mechanism.name, sorted(unknown)))
         self.mechanism = mechanism
         self.settings = dict(settings)
+        self.key = (mechanism.name,
+                    tuple((name, _setting_key(value))
+                          for name, value in sorted(self.settings.items())))
 
     @property
     def name(self) -> str:
@@ -224,7 +234,6 @@ class MechanismConfig:
         any dict insertion order) produce identical fragments.  This is
         the content the space analyzer's combo keys hash.
         """
-        from ..units import canonical_scalar
         return {"mechanism": self.mechanism.name,
                 "settings": [[key, canonical_scalar(value)]
                              for key, value
@@ -236,9 +245,7 @@ class MechanismConfig:
                 and self.settings == other.settings)
 
     def __hash__(self) -> int:
-        return hash((self.mechanism.name,
-                     tuple(sorted((k, str(v))
-                                  for k, v in self.settings.items()))))
+        return hash(self.key)
 
     def describe(self) -> str:
         if not self.settings:
@@ -249,6 +256,19 @@ class MechanismConfig:
 
     def __repr__(self) -> str:
         return "MechanismConfig(%s)" % self.describe()
+
+
+def _setting_key(value) -> object:
+    """Exact, hashable spelling of one mechanism setting.
+
+    :func:`repro.units.canonical_scalar` with its lists held as
+    tuples: a Duration keys on its exact seconds (``float.hex``), not
+    on the 4-significant-digit :meth:`Duration.format`, so two unequal
+    settings never share a key.  Tuples serialize to JSON lists and
+    back (``SearchCheckpoint``), so keys built from it round-trip.
+    """
+    value = canonical_scalar(value)
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _format_setting(value) -> str:

@@ -4,9 +4,11 @@
 subset of the language the parser understands, which the test suite
 exercises as a property (write -> parse -> write is a fixed point).
 
-Performance models serialize as ``expr:`` inline forms where possible;
-tabulated models (which came from ``.dat`` files) cannot be inlined and
-are emitted as a reference that the caller must resolve again.
+Performance models serialize as ``expr:`` inline forms where possible.
+Tabulated performance and mechanism overhead models (which came from
+``.dat`` files) cannot be inlined: writing one raises
+:class:`~repro.errors.ModelError` rather than emit a document that
+parses to a different model.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import List
 from ..errors import ModelError
 from ..model import (AvailabilityMechanism, ComponentType, ConstantEffect,
                      ConstantPerformance, CostSchedule, ExpressionPerformance,
-                     InfrastructureModel, MechanismRef, ParameterEffect,
-                     ResourceType, ServiceModel, TableEffect)
+                     InfrastructureModel, MechanismRef, MechanismUse,
+                     ParameterEffect, ResourceType, ServiceModel,
+                     TableEffect, UnityOverhead)
 from ..units import (ArithmeticRange, Duration, EnumeratedRange,
                      GeometricRange, ValueRange, WorkAmount)
 
@@ -130,8 +133,17 @@ def write_service(service: ServiceModel) -> str:
                          % (_range_text(option.n_active),
                             _performance_text(option.performance)))
             for use in option.mechanisms:
-                lines.append("  mechanism=%s" % use.mechanism)
+                lines.append(_mechanism_use_text(use))
     return "\n".join(lines) + "\n"
+
+
+def _mechanism_use_text(use: MechanismUse) -> str:
+    if not isinstance(use.overhead, UnityOverhead):
+        raise ModelError(
+            "cannot inline the %r overhead model of mechanism %r; keep "
+            "its mperformance .dat reference"
+            % (type(use.overhead).__name__, use.mechanism))
+    return "  mechanism=%s" % use.mechanism
 
 
 def _performance_text(model) -> str:

@@ -298,3 +298,22 @@ class TestJsonContracts:
              "--load", "1000", "--downtime", "100m", "--json"])
         assert code_file == code_paper == 0
         assert json.loads(out_file) == json.loads(out_paper)
+
+    @pytest.mark.parametrize("job_time", ["2h", "20h"])
+    def test_scientific_file_spec_design_matches_embedded_model(
+            self, job_time):
+        """The Fig. 5 spec with Table 1's mperformance files designs
+        the embedded paper model's system."""
+        import os
+        specs = os.path.join(os.path.dirname(__file__), "..", "..",
+                             "examples", "specs")
+        code_file, out_file = run(
+            ["design",
+             "--infrastructure", os.path.join(specs, "paper.infra"),
+             "--service", os.path.join(specs, "scientific.service"),
+             "--perf-dir", specs, "--job-time", job_time, "--json"])
+        code_paper, out_paper = run(
+            ["design", "--paper-scientific", "--job-time", job_time,
+             "--json"])
+        assert code_file == code_paper == 0
+        assert json.loads(out_file) == json.loads(out_paper)

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import Aved, SearchLimits
+from repro.core import Aved, SearchLimits, SearchStats
 from repro.model import JobRequirements, ServiceRequirements
 from repro.units import Duration
 
@@ -40,6 +40,35 @@ def test_job_sweep_hits_are_rereads(paper_infra, scientific, jobs):
     stats = Aved(paper_infra, scientific, limits=JOB_LIMITS, jobs=jobs) \
         .design(JOB_REQ).stats
     assert stats.cache_hits == 3913
+
+
+#: The Fig. 7 sweep's work at four job-time deadlines (hours), as
+#: (structures, solves, cache hits, job-time evaluations, cost-pruned
+#: settings, wavefronts).  Every solve is a wavefront member; with a
+#: worker pool, every wavefront is also a pool batch.
+JOB_SWEEP_WORK = {
+    2: (6, 6, 1505, 1510, 302, 3),
+    10: (92, 92, 27692, 27784, 0, 14),
+    20: (15, 15, 3913, 3926, 604, 5),
+    1000: (1, 1, 301, 302, 0, 1),
+}
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("hours", sorted(JOB_SWEEP_WORK))
+def test_job_sweep_counters_are_pinned(paper_infra, scientific, hours,
+                                       jobs):
+    structures, solves, hits, job_evals, pruned, wavefronts = \
+        JOB_SWEEP_WORK[hours]
+    expected = SearchStats(
+        structures_enumerated=structures,
+        availability_evaluations=solves, cost_pruned=pruned,
+        cache_hits=hits, job_time_evaluations=job_evals,
+        parallel_batches=wavefronts if jobs else 0,
+        batched_wavefronts=wavefronts, batched_solves=solves)
+    stats = Aved(paper_infra, scientific, limits=JOB_LIMITS, jobs=jobs) \
+        .design(JobRequirements(Duration.hours(hours))).stats
+    assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
 
 
 def test_resumed_values_read_as_hits(paper_infra, app_tier_service,

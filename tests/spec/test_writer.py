@@ -91,6 +91,25 @@ tier=compute
         with pytest.raises(ModelError):
             write_service(service)
 
+    def test_mechanism_overhead_not_inlinable(self):
+        """A bare ``mechanism=`` line would drop Table 1's checkpoint
+        overhead, so the writer refuses rather than change the model."""
+        from repro.spec.paper import scientific_service
+        with pytest.raises(ModelError, match="mperformance"):
+            write_service(scientific_service())
+
+    def test_unity_overhead_mechanism_round_trips(self):
+        source = """
+application=sci jobsize=100
+tier=compute
+ resource=r sizing=static failurescope=tier
+  nActive=[1-10,+1] performance=expr:10*n
+  mechanism=checkpoint
+"""
+        text = write_service(parse_service(source))
+        assert "  mechanism=checkpoint\n" in text
+        assert write_service(parse_service(text)) == text
+
 
 class TestAgainstPaperText:
     def test_paper_infrastructure_spec_parses(self):
