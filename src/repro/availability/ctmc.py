@@ -10,8 +10,9 @@ Chains are described by arbitrary hashable states and a transition
 function; steady-state probabilities come from solving the global
 balance equations ``pi Q = 0`` with ``sum(pi) = 1``.  Chains produced
 by the tier models are small (tens to a few thousand states), so a
-dense solve is used below a size threshold and a sparse least-squares
-solve above it.
+dense solve is used below a size threshold and a sparse LU solve above
+it.  scipy is imported only by that sparse branch, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Tuple)
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ..errors import EvaluationError
 
@@ -146,6 +145,8 @@ class ContinuousTimeMarkovChain:
     def _solve_sparse(self) -> np.ndarray:
         """Exact sparse LU solve of ``Q^T pi = 0`` with one balance
         equation replaced by the normalization ``sum(pi) = 1``."""
+        import scipy.sparse
+        import scipy.sparse.linalg
         size = self.size
         rows, cols, data = [], [], []
         diag = np.zeros(size)

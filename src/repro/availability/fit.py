@@ -13,14 +13,16 @@ and a two-sided confidence interval comes from the chi-square
 distribution on ``2 * count`` (lower) and ``2 * count + 2`` (upper)
 degrees of freedom -- the standard reliability-engineering interval,
 valid for time-terminated observation.
+
+``scipy.stats`` is imported inside the two estimators, not at module
+level: this module loads with :mod:`repro.availability`, which every
+design run imports, and no design run calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
-
-import scipy.stats
 
 from ..errors import EvaluationError
 from ..units import Duration
@@ -55,6 +57,7 @@ def estimate_mtbf(mode: str, failures: int, exposure_hours: float,
         raise EvaluationError("failure count cannot be negative")
     if not 0.0 < confidence < 1.0:
         raise EvaluationError("confidence must be in (0, 1)")
+    import scipy.stats
     alpha = 1.0 - confidence
     # Rate CI: [chi2(alpha/2; 2k) / (2T), chi2(1-alpha/2; 2k+2) / (2T)]
     upper_rate = scipy.stats.chi2.ppf(1.0 - alpha / 2.0,
@@ -113,6 +116,7 @@ def estimate_mttr(mode: str, repairs: int, repair_hours: float,
                             confidence)
     if repair_hours == 0:
         raise EvaluationError("observed repairs with zero total time")
+    import scipy.stats
     alpha = 1.0 - confidence
     # MTTR CI: [2T / chi2(1-a/2; 2k), 2T / chi2(a/2; 2k)]
     high = scipy.stats.chi2.ppf(1.0 - alpha / 2.0, 2 * repairs)

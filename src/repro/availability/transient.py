@@ -26,7 +26,6 @@ import math
 from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from ..errors import EvaluationError
 from .ctmc import ContinuousTimeMarkovChain, State
@@ -34,6 +33,7 @@ from .ctmc import ContinuousTimeMarkovChain, State
 
 #: Chains below this size use a dense uniformized matrix: per-call
 #: overhead of sparse matvec dwarfs the arithmetic for small chains.
+#: Only larger chains import scipy.
 _DENSE_TRANSIENT_LIMIT = 600
 
 
@@ -58,6 +58,7 @@ def _uniformized_matrix(chain: ContinuousTimeMarkovChain):
             matrix[origin, target] += rate / q
         matrix[np.diag_indices(size)] += 1.0 - diagonal / q
         return matrix, q, states, index
+    import scipy.sparse
     matrix = scipy.sparse.csr_matrix(
         (np.array(data) / q, (rows, cols)), shape=(size, size))
     matrix = matrix + scipy.sparse.diags(1.0 - diagonal / q)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import signal
 import sys
@@ -588,8 +589,8 @@ def resolve_jobs(args) -> Optional[int]:
     if jobs is not None and jobs < 1:
         raise AvedError("--jobs must be >= 1, got %d" % jobs)
     timeout = getattr(args, "task_timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise AvedError("--task-timeout must be positive")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise AvedError("--task-timeout must be positive and finite")
     if timeout is not None and jobs is None:
         raise AvedError("--task-timeout requires --jobs")
     return jobs

@@ -35,6 +35,7 @@ sleep that outlives the task timeout.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import random
@@ -87,8 +88,10 @@ class ParallelPolicy:
     def __post_init__(self) -> None:
         if self.task_retries < 0:
             raise SearchError("task_retries cannot be negative")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise SearchError("task_timeout must be positive or None")
+        if self.task_timeout is not None \
+                and not 0 < self.task_timeout < math.inf:
+            raise SearchError("task_timeout must be positive and finite "
+                              "or None")
         if self.isolate_after < 1:
             raise SearchError("isolate_after must be >= 1")
         if self.max_pool_restarts < 0:

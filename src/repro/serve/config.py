@@ -9,12 +9,21 @@ config and discovers it under load.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..availability import ENGINE_NAMES
 from ..errors import ServeError
+
+#: Every float knob.  NaN passes each ``<= 0`` check below and +inf
+#: most of them, and either breaks the socket timeouts, deadlines,
+#: shedding and waits they feed, so both are refused first.
+_FLOAT_FIELDS = ("wait_budget", "initial_service_estimate",
+                 "default_deadline", "max_deadline", "task_timeout",
+                 "drain_grace", "io_timeout", "watch_load",
+                 "watch_downtime_minutes", "watch_interval")
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,11 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if not self.data_dir:
             raise ServeError("data_dir is required")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ServeError("%s must be finite, got %r"
+                                 % (name, value))
         if self.workers < 1:
             raise ServeError("workers must be >= 1")
         if self.queue_limit < 1:

@@ -7,7 +7,8 @@ import pytest
 from repro.availability import (ContinuousTimeMarkovChain,
                                 availability_curve, interval_availability,
                                 point_availability, time_to_steady_state,
-                                transient_distribution)
+                                transient_distribution,
+                                transient_distributions)
 from repro.errors import EvaluationError
 
 
@@ -79,6 +80,31 @@ class TestTransientDistribution:
             single = closed_form(lam, mu, t)
             assert distribution[0] == pytest.approx(single ** 3,
                                                     abs=1e-9)
+
+    def test_large_birth_death_uses_sparse_matrix(self):
+        """700 independent machines, all up at t=0: the chain is over
+        the dense limit, and the number down at t is Binomial(n, q(t))
+        with q(t) the single-machine P(down at t)."""
+        from repro.availability.transient import _DENSE_TRANSIENT_LIMIT
+        n, lam, mu = 700, 0.01, 0.5
+
+        def transitions(k):
+            out = []
+            if k < n:
+                out.append((k + 1, (n - k) * lam))
+            if k > 0:
+                out.append((k - 1, k * mu))
+            return out
+
+        chain = ContinuousTimeMarkovChain(0, transitions)
+        assert chain.size > _DENSE_TRANSIENT_LIMIT
+        times = (0.5, 2.0, 10.0)
+        for t, distribution in zip(
+                times, transient_distributions(chain, 0, times)):
+            down = 1.0 - closed_form(lam, mu, t)
+            expected_down = sum(k * p for k, p in distribution.items())
+            assert expected_down == pytest.approx(n * down, rel=1e-9)
+            assert sum(distribution.values()) == pytest.approx(1.0)
 
 
 class TestAvailabilityFunctions:
